@@ -29,9 +29,9 @@ from .driver import (
     stage_invariants,
     stage_set,
 )
-from .groups import HSpec, Instance, WideGroup
+from .groups import ConstructionError, HSpec, Instance, WideGroup
 from .poset import leq, validate
-from .symsets import member, witness_to_json
+from .symsets import ExpansionLimitError, member, witness_to_json
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -337,6 +337,16 @@ def main(argv=None) -> int:
     except BuildError as e:
         print(f"build failed: {e}", file=sys.stderr)
         return EXIT_CHECK
+    except ConstructionError as e:
+        print(f"construction failed: {e}", file=sys.stderr)
+        return EXIT_CHECK
+    except ExpansionLimitError as e:
+        print(
+            f"insufficient budget: the chain's level budget is too deep for"
+            f" exact membership ({e})",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

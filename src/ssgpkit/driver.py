@@ -323,7 +323,10 @@ def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
     if obj.get("version") != CHAIN_VERSION:
         raise ChainFormatError(f"unsupported version {obj.get('version')!r}")
     inst = Instance.from_json(obj["instance"])
-    conditions = [Condition.from_json(inst, c) for c in obj["conditions"]]
+    # One intern table per file: equal levels and sum-part children across
+    # conditions become one object, so their caches fill once.
+    table: dict = {}
+    conditions = [Condition.from_json(inst, c, table) for c in obj["conditions"]]
     met = [MetRequest.from_json(inst, e) for e in obj["met"]]
     if not conditions:
         raise ChainFormatError("empty chain")

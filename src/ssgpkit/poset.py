@@ -53,11 +53,13 @@ class Condition:
         }
 
     @staticmethod
-    def from_json(inst: Instance, obj: dict) -> "Condition":
+    def from_json(inst: Instance, obj: dict, table: dict) -> "Condition":
+        """Parse one condition; levels are hash-consed through table (see
+        symset_from_json)."""
         return Condition(
             frozenset(int(p) for p in obj["pi"]),
             int(obj["n"]),
-            tuple(symset_from_json(inst, S) for S in obj["u"]),
+            tuple(symset_from_json(inst, S, table) for S in obj["u"]),
             tuple(int(x) for x in obj["s"]),
         )
 

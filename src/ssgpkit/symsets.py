@@ -734,17 +734,21 @@ def symset_to_json(S: SymSet) -> dict:
     }
 
 
-def symset_from_json(inst: Instance, obj: dict) -> SymSet:
+def symset_from_json(inst: Instance, obj: dict, table: dict) -> SymSet:
+    """Parse one set, hash-consed through table (SymSet.key() -> SymSet):
+    an equal set parsed earlier with the same table is returned instead of
+    a fresh copy, so it keeps its warm membership and expansion caches."""
     atoms = [atom_from_json(inst, a) for a in obj["atoms"]]
     sums = [
         SumPart(
-            symset_from_json(inst, sp["left"]),
-            symset_from_json(inst, sp["right"]),
+            symset_from_json(inst, sp["left"], table),
+            symset_from_json(inst, sp["right"], table),
             int(sp["lattice"]),
         )
         for sp in obj["sums"]
     ]
-    return SymSet(atoms, sums)
+    S = SymSet(atoms, sums)
+    return table.setdefault(S.key(), S)
 
 
 def witness_to_json(w: SSGPWitness) -> dict:

@@ -178,10 +178,17 @@ def test_qpi_monotone_in_pi(a, pi, extra):
         assert qpi_member(a, pi | {extra})
 
 
-def brute_cap(g, pi, bound=5000):
-    """Oracle: least D >= 1 with D*g in Q_pi^m, by scanning; 0 if none."""
-    for D in range(1, bound + 1):
-        if qpi_member(tuple(D * q for q in g), pi):
+def brute_cap(g, pi):
+    """Oracle: least D >= 1 with D*g in Q_pi^m, by scanning; 0 if none.
+
+    The n with n*g in Q_pi^m form a subgroup D*Z of Z, and L*g is integral
+    for L the lcm of g's denominators, so the least D divides L: scanning
+    the divisors of L in increasing order is exact."""
+    L = 1
+    for q in g:
+        L = L * q.denominator // math.gcd(L, q.denominator)
+    for D in range(1, L + 1):
+        if L % D == 0 and qpi_member(tuple(D * q for q in g), pi):
             return D
     return 0
 

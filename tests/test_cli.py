@@ -116,6 +116,34 @@ def test_build_deterministic_bytes(workdir):
     assert a == b
 
 
+def test_build_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # a level-2 build needs a 64-pair expansion; a cap of 16 stands in for
+    # the real cap that deep level budgets outgrow
+    import ssgpkit.symsets
+
+    monkeypatch.setattr(ssgpkit.symsets, "EXPAND_LIMIT", 16)
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(dict(CONFIG, budget={"max_level": 2, "enum_count": 3})))
+    rc = main(["build", "--config", str(cfg), "--out", str(tmp_path / "c.json")])
+    assert rc == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "level budget" in err and "limit is 16" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_build_construction_error_exits_1(tmp_path, capsys, monkeypatch):
+    import ssgpkit.density
+
+    monkeypatch.setattr(ssgpkit.density, "cyclic_in_set", lambda *a, **k: False)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    rc = main(["build", "--config", str(cfg), "--out", str(tmp_path / "c.json")])
+    assert rc == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert "construction failed: part lost its cyclic atom" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # -- query -------------------------------------------------------------------
 
 

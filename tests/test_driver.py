@@ -163,11 +163,27 @@ def test_build_aborts_on_broken_extension(inst, monkeypatch):
 # -- persistence -------------------------------------------------------------
 
 
+def _reachable_sets(chain):
+    """Every SymSet reachable from the levels, through sum-part children,
+    with repeats: one entry per occurrence in the object graph."""
+    out = []
+    stack = [S for p in chain.conditions for S in p.u]
+    while stack:
+        S = stack.pop()
+        out.append(S)
+        for sp in S.sums:
+            stack.extend((sp.left, sp.right))
+    return out
+
+
 def test_save_load_round_trip(inst, chain, tmp_path):
     path = tmp_path / "chain.json"
     save_chain(chain, path)
     loaded = load_chain(path)
-    assert chain_bytes(loaded) == chain_bytes(chain)
+    assert chain_bytes(loaded) == path.read_bytes() == chain_bytes(chain)
+    # loading hash-conses: one object per distinct set, though sets repeat
+    sets = _reachable_sets(loaded)
+    assert len({id(S) for S in sets}) == len({S.key() for S in sets}) < len(sets)
     assert loaded.conditions == chain.conditions
     assert loaded.met == chain.met
     assert loaded.rng_seed == chain.rng_seed
@@ -203,3 +219,28 @@ def test_load_rejects_foreign_format(tmp_path):
 def test_rebuild_is_byte_identical(inst, chain):
     again = build_chain(inst, 2, 10, rng_seed=0, sample_budget=200)
     assert chain_bytes(again) == chain_bytes(chain)
+
+
+def test_loads_share_no_sets(chain, tmp_path):
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    first = load_chain(path, revalidate=False)
+    second = load_chain(path, revalidate=False)
+    ids = {id(S) for S in _reachable_sets(first)}
+    assert not ids & {id(S) for S in _reachable_sets(second)}
+
+
+@pytest.mark.parametrize("level", [-1, 2])
+def test_load_detects_dropped_atom_in_shared_set(chain, tmp_path, level):
+    # the top level (a one-atom lattice) and level 2 (the 64-atom capture
+    # level) of the last condition both have equal twins in earlier ones
+    obj = json.loads(chain_bytes(chain))
+    last = len(obj["conditions"]) - 1
+    tampered = obj["conditions"][last]["u"][level]
+    earlier = [u for c in obj["conditions"][:last] for u in c["u"]]
+    assert tampered in earlier and tampered["atoms"]
+    tampered["atoms"].pop()
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ChainFormatError, match=rf"\b{last}\b"):
+        load_chain(path)

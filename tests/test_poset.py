@@ -238,5 +238,5 @@ def test_avoid_chain_transitivity(inst):
 
 def test_condition_json_roundtrip(inst):
     p = extend_with_avoidance(inst, root(inst), inst.make([F(1)], [], [0]))
-    back = Condition.from_json(inst, p.to_json())
+    back = Condition.from_json(inst, p.to_json(), {})
     assert back == p

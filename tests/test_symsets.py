@@ -490,7 +490,7 @@ def test_symset_json_roundtrip(inst_tor):
     rng = random.Random(23)
     S = symset_from_atoms(inst_tor, [_random_atom(inst_tor, rng) for _ in range(3)])
     node = SymSet(S.atoms, (SumPart(S, lattice_set(inst_tor, 2), 4),))
-    back = symset_from_json(inst_tor, symset_to_json(node))
+    back = symset_from_json(inst_tor, symset_to_json(node), {})
     assert back.key() == node.key()
 
 
