@@ -4,8 +4,9 @@
 Same parameters as scripts/example_config.json: m = 1, all of Q, H = Z/2,
 level budget 2, the first 10 enumerated elements, seed 0.  Prints the
 chain profile, one line per separation certificate, and the capture
-witnesses at every level in the budget, then cross-checks the sampled
-stage invariants.
+witnesses at every level in the budget, then checks the stage invariants
+(symmetry, sums and nesting of the stage sets) by their syntactic
+certificates.
 """
 
 import argparse
@@ -57,9 +58,9 @@ def main():
                   f"head {inst.format_elem(w.head)}, parts {parts}")
 
     t0 = time.monotonic()
-    rep = stage_invariants(chain, samples=200, rng_seed=args.seed)
+    rep = stage_invariants(chain)
     status = "clean" if rep.ok() else f"VIOLATED: {rep.failures()}"
-    print(f"\nsampled stage invariants: {status} "
+    print(f"\nstage invariants: {status} "
           f"({time.monotonic() - t0:.2f}s)")
 
 

@@ -12,7 +12,6 @@ from .symsets import SSGPWitness, SymSet, cyclic_in_set, member
 from .poset import CheckReport, Condition, leq, validate
 from .density import (
     DenseRequest,
-    apply_request,
     check_lemma_iterative,
     extend_avoid,
     extend_primes,
@@ -50,7 +49,6 @@ __all__ = [
     "SSGPWitness",
     "SymSet",
     "WideGroup",
-    "apply_request",
     "build_chain",
     "chain_bytes",
     "check_lemma_iterative",

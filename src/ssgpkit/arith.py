@@ -57,15 +57,6 @@ def prime_set(primes: Iterable[int]) -> PrimeSet:
     return ps
 
 
-def min_prime_outside(pi: Iterable[int]) -> int:
-    """Smallest prime not in the finite set pi."""
-    ps = frozenset(pi)
-    p = 2
-    while p in ps:
-        p = next_prime(p)
-    return p
-
-
 def prime_factors(n: int) -> PrimeSet:
     """Prime divisors of a nonzero integer."""
     n = abs(int(n))

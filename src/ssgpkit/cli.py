@@ -177,6 +177,8 @@ def _parse_element(inst: Instance, literal):
 
 
 def cmd_query(args) -> int:
+    if args.level < 0:
+        raise UsageError(f"levels are non-negative, got --level {args.level}")
     chain = _load(args.chain)
     inst = chain.inst
     x = _parse_element(inst, args.element)
@@ -211,7 +213,7 @@ def cmd_verify(args) -> int:
 
     t0 = time.monotonic()
     for k, p in enumerate(chain.conditions):
-        rep = validate(inst, p, sample_budget=samples, rng_seed=seed)
+        rep = validate(inst, p)
         checks[f"condition_{k:02d}"] = rep.ok()
     for k in range(1, len(chain.conditions)):
         rep = leq(
@@ -222,7 +224,7 @@ def cmd_verify(args) -> int:
     print(f"# conditions: {time.monotonic() - t0:.2f}s", file=sys.stderr)
 
     t0 = time.monotonic()
-    rep = stage_invariants(chain, samples=samples, rng_seed=seed)
+    rep = stage_invariants(chain)
     for key, ok in rep.checks.items():
         checks[f"stage_{key}"] = ok
     print(f"# stage invariants: {time.monotonic() - t0:.2f}s", file=sys.stderr)
@@ -286,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="chain file to write")
     b.add_argument("--seed", type=int, default=None, help="override config seed")
     b.add_argument("--samples", type=int, default=None,
-                   help="override config sample budget")
+                   help="override config sample budget (used only by the "
+                   "sampled order check, leq iii_sub)")
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="ask one question of a chain file")
@@ -299,8 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="re-run every check and certificate")
     v.add_argument("--chain", required=True, help="chain file")
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--samples", type=int, default=None,
+                   help="override the chain's sample budget for the sampled "
+                   "order check (leq iii_sub)")
+    v.add_argument("--seed", type=int, default=None,
+                   help="override the chain's seed for the same check")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("show", help="print a chain summary")

@@ -213,19 +213,6 @@ def extend_ssgp(inst: Instance, p: Condition, x: KElem) -> tuple[Condition, SSGP
     return q, w
 
 
-def apply_request(
-    inst: Instance, p: Condition, req: DenseRequest
-) -> tuple[Condition, Optional[SSGPWitness]]:
-    """Dispatch one request against a condition."""
-    if req.kind == KIND_LEVEL:
-        return extend_to_level(inst, p, req.level), None
-    if req.kind == KIND_PRIMES:
-        return extend_primes(inst, p, req.primes), None
-    if req.kind == KIND_AVOID:
-        return extend_avoid(inst, p, req.elem), None
-    return extend_ssgp(inst, p, req.elem)
-
-
 # -- bounded re-check of the span properties ---------------------------------
 
 

@@ -21,7 +21,6 @@ every avoidance step.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,13 +33,21 @@ from .density import (
     extend_to_level,
 )
 from .groups import Instance, KElem
-from .poset import CheckReport, Condition, leq, root, validate
+from .poset import (
+    CheckReport,
+    Condition,
+    leq,
+    nested_subset_syntactic,
+    root,
+    sum_subset_syntactic,
+    validate,
+)
 from .symsets import (
     SSGPWitness,
     SymSet,
     cyclic_in_set,
+    is_symmetric_syntactic,
     member,
-    sample_point,
     witness_from_json,
     witness_to_json,
 )
@@ -119,7 +126,7 @@ def _push(
     """Validate q and its order relation to the chain tail, then append."""
     if q is chain[-1]:
         return len(chain) - 1
-    rep = validate(inst, q, sample_budget=sample_budget, rng_seed=rng_seed)
+    rep = validate(inst, q)
     if not rep.ok():
         raise BuildError(f"{claim}: condition fails {rep.failures()}")
     rep = leq(inst, q, chain[-1], sample_budget=sample_budget, rng_seed=rng_seed)
@@ -222,8 +229,9 @@ def separation_certificate(chain: FilterChain, x: KElem) -> int:
 
 
 def ssgp_certificate(chain: FilterChain, x: KElem, i: int) -> SSGPWitness:
-    """Recorded capture witness for x at stage i, re-checked against the
-    assembled stage set."""
+    """Recorded capture witness for x at stage i, re-checked exactly against
+    the assembled stage set: the head by membership, each part by the
+    syntactic cyclic certificate (cyclic_in_set), and the sum identity."""
     inst = chain.inst
     entry_w: Optional[SSGPWitness] = None
     for entry in chain.met:
@@ -245,7 +253,7 @@ def ssgp_certificate(chain: FilterChain, x: KElem, i: int) -> SSGPWitness:
     if not member(inst, entry_w.head, S):
         raise AssertionError("witness head escapes the stage set")
     for g in entry_w.parts:
-        if not cyclic_in_set(inst, g, S) and not cyclic_in_set(inst, g, S, bounded=25):
+        if not cyclic_in_set(inst, g, S):
             raise AssertionError("witness part is not cyclic inside the stage set")
     if not entry_w.verify_identity(inst):
         raise AssertionError("witness identity broke")
@@ -256,38 +264,26 @@ def ssgp_certificate(chain: FilterChain, x: KElem, i: int) -> SSGPWitness:
 def stage_invariants(
     chain: FilterChain, samples: int = 200, rng_seed: int = 0
 ) -> CheckReport:
-    """Sampled neighbourhood-base axioms on the assembled stage sets:
-    sums drop one level, negation stays, deeper stages are contained in
-    shallower ones."""
+    """Neighbourhood-base axioms on the assembled stage sets, exactly:
+    negation stays (neg_i), sums drop one level (add_{i+1}_i), deeper
+    stages are contained in shallower ones (nest_{i+1}_i).
+
+    Each check passes only on the syntactic certificate validate uses for
+    the same inclusion; a stage without one fails by name.  Nothing is
+    sampled, so samples and rng_seed are ignored; they stay in the
+    signature because existing callers, perfbench/pipeline.py among them,
+    still pass them.
+    """
     inst = chain.inst
-    rng = random.Random(rng_seed)
     top = chain.max_level
     checks: dict[str, bool] = {}
     for i in range(top + 1):
-        S = stage_set(chain, i)
-        ok_neg = True
-        for _ in range(samples):
-            z = sample_point(inst, S, rng)
-            if not member(inst, inst.neg(z), S):
-                ok_neg = False
-                break
-        checks[f"neg_{i}"] = ok_neg
+        checks[f"neg_{i}"] = is_symmetric_syntactic(inst, stage_set(chain, i))
     for i in range(top):
         S_lo = stage_set(chain, i + 1)
         S_hi = stage_set(chain, i)
-        ok_add = True
-        ok_nest = True
-        for _ in range(samples):
-            z = sample_point(inst, S_lo, rng)
-            w = sample_point(inst, S_lo, rng)
-            if not member(inst, inst.add(z, w), S_hi):
-                ok_add = False
-                break
-            if not member(inst, z, S_hi):
-                ok_nest = False
-                break
-        checks[f"add_{i + 1}_{i}"] = ok_add
-        checks[f"nest_{i + 1}_{i}"] = ok_nest
+        checks[f"add_{i + 1}_{i}"] = sum_subset_syntactic(inst, S_lo, S_lo, S_hi)
+        checks[f"nest_{i + 1}_{i}"] = nested_subset_syntactic(inst, S_lo, S_hi)
     return CheckReport(checks)
 
 
@@ -337,7 +333,7 @@ def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
         if conditions[0] != root(inst):
             raise ChainFormatError("chain does not start at the root condition")
         for k, p in enumerate(conditions):
-            rep = validate(inst, p, sample_budget=budget, rng_seed=seed)
+            rep = validate(inst, p)
             if not rep.ok():
                 raise ChainFormatError(f"condition {k} fails {rep.failures()}")
         for k in range(1, len(conditions)):

@@ -178,9 +178,6 @@ class SymSet:
             self._hash = hash(self.key())
         return self._hash
 
-    def atom_count(self) -> int:
-        return len(self.atoms)
-
     def __repr__(self):
         return f"SymSet({len(self.atoms)} atoms, {len(self.sums)} sums)"
 
@@ -552,30 +549,7 @@ def sample_point(inst: Instance, S: SymSet, rng, bound: int = 12) -> KElem:
     return x
 
 
-# -- envelopes and cyclic subgroups ------------------------------------------
-
-
-def grp_bounded(inst: Instance, A: Sequence[KElem], k: int) -> list[KElem]:
-    """All sums of 1..k elements of A with repetition, deduplicated.  The
-    empty sum is excluded; 0 appears only if some combination hits it."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seen: dict[KElem, None] = {}
-    layer = list(dict.fromkeys(A))
-    for x in layer:
-        seen.setdefault(x)
-    for _ in range(k - 1):
-        nxt = []
-        for x in layer:
-            for a in A:
-                y = inst.add(x, a)
-                if y not in seen:
-                    seen.setdefault(y)
-                    nxt.append(y)
-        layer = nxt
-        if not layer:
-            break
-    return list(seen)
+# -- cyclic subgroups --------------------------------------------------------
 
 
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
@@ -603,16 +577,12 @@ def _cyclic_syntactic(inst: Instance, canon, S: SymSet) -> bool:
     return False
 
 
-def cyclic_in_set(inst: Instance, g: KElem, S: SymSet, bounded: Optional[int] = None) -> bool:
-    """<g> inside S.  Syntactic mode (bounded=None): some base-0 atom,
-    possibly inside a sum whose other side has 0, lists g as a generator.
-    Bounded mode: member(n*g, S) for all |n| <= bounded."""
-    if bounded is None:
-        gk = _elem_key(g)
-        ngk = _elem_key(inst.neg(g))
-        canon = min(gk, ngk)
-        return _cyclic_syntactic(inst, canon, S)
-    return all(member(inst, inst.smul(n, g), S) for n in range(-bounded, bounded + 1))
+def cyclic_in_set(inst: Instance, g: KElem, S: SymSet) -> bool:
+    """Certificate for <g> inside S: some base-0 atom, possibly inside a sum
+    whose other side has 0, lists g or -g as a generator.  A False means
+    no certificate is visible, not that <g> escapes S."""
+    canon = min(_elem_key(g), _elem_key(inst.neg(g)))
+    return _cyclic_syntactic(inst, canon, S)
 
 
 # -- membership modulo Q_pi --------------------------------------------------

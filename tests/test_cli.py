@@ -225,6 +225,16 @@ def test_query_level_above_reach_exits_3(workdir, capsys):
     assert rc == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("what", ["member", "ssgp"])
+def test_query_negative_level_exits_2(workdir, capsys, what):
+    rc = main([
+        "query", what, "--chain", str(workdir / "chain.json"),
+        "--element", "0;0", "--level", "-1",
+    ])
+    assert rc == EXIT_USAGE
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_query_bad_element_exits_2(workdir, capsys):
     rc = main([
         "query", "member", "--chain", str(workdir / "chain.json"),

@@ -12,7 +12,6 @@ import ssgpkit.density as density
 from ssgpkit.arith import qpi_member
 from ssgpkit.density import (
     DenseRequest,
-    apply_request,
     check_lemma_iterative,
     extend_avoid,
     extend_primes,
@@ -254,19 +253,6 @@ def test_request_json_round_trip(inst):
     ]
     for r in reqs:
         assert DenseRequest.from_json(inst, r.to_json()) == r
-
-
-def test_apply_request_dispatch(inst):
-    r = root(inst)
-    q, w = apply_request(inst, r, DenseRequest("level", level=2))
-    assert q.n == 2 and w is None
-    q, w = apply_request(inst, r, DenseRequest("primes", primes=frozenset({7})))
-    assert q.pi == frozenset({7}) and w is None
-    x = inst.make([F(1, 2)], [], [0])
-    q, w = apply_request(inst, r, DenseRequest("avoid", elem=x))
-    assert not member(inst, x, q.u[q.n]) and w is None
-    q, w = apply_request(inst, r, DenseRequest("ssgp", elem=x))
-    assert w is not None and w.verify_identity(inst)
 
 
 # -- span-property oracle ----------------------------------------------------

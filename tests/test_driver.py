@@ -1,6 +1,7 @@
 """Chain builder, stage sets, certificate queries, and persistence."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,6 +9,7 @@ from ssgpkit.driver import (
     BudgetError,
     BuildError,
     ChainFormatError,
+    FilterChain,
     build_chain,
     chain_bytes,
     load_chain,
@@ -18,8 +20,15 @@ from ssgpkit.driver import (
     stage_set,
 )
 from ssgpkit.groups import HSpec, Instance, WideGroup
-from ssgpkit.poset import leq, root, validate
-from ssgpkit.symsets import member, sample_point
+from ssgpkit.poset import Condition, leq, root, validate
+from ssgpkit.symsets import (
+    lattice_set,
+    make_atom,
+    member,
+    sample_point,
+    symset_from_atoms,
+    union_sets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +126,19 @@ def test_ssgp_outside_budget(inst, chain):
 def test_neighbourhood_base_axioms(inst, chain):
     rep = stage_invariants(chain, samples=60, rng_seed=1)
     assert rep.ok(), rep.failures()
+
+
+def test_stage_invariants_name_uncertified_stages(inst):
+    # last condition: U_0 = 2Z, U_1 = Z + (1/3 + Z); the level-1 atom Z is
+    # not in U_0, and 1/3 + Z has no negative in U_1
+    third = make_atom(inst, inst.make([F(1, 3)], [], [0]), (), 1)
+    u1 = union_sets(inst, lattice_set(inst, 1), symset_from_atoms(inst, [third]))
+    bad = Condition(frozenset({3}), 1, (lattice_set(inst, 2), u1), (2, 2))
+    chain = FilterChain(inst, [root(inst), bad], [])
+    rep = stage_invariants(chain, samples=1, rng_seed=0)
+    assert rep.failures() == ["neg_1", "add_1_0", "nest_1_0"]
+    # nothing is sampled: the budget and seed cannot change the report
+    assert stage_invariants(chain, samples=500, rng_seed=1).checks == rep.checks
 
 
 def test_stage_sets_grow_with_budget(inst):

@@ -51,6 +51,30 @@ def test_validate_detects_bad_sum(inst_plain):
     assert not rep.checks["7p"]
 
 
+def test_validate_rejects_uncertified_condition(inst_plain):
+    # U_0 = Z, U_1 = {0, 1, -1} + 2Z, s = (1, 2): U_1 + U_1 and U_1 lie in
+    # U_0, but neither inclusion has a syntactic certificate, so validate
+    # names both instead of passing them on samples
+    z, one = inst_plain.zero(), inst_plain.make([F(1)])
+    u1 = symset_from_atoms(
+        inst_plain,
+        [make_atom(inst_plain, b, (), 2) for b in (z, one, inst_plain.neg(one))],
+    )
+    p = Condition(frozenset(), 1, (lattice_set(inst_plain, 1), u1), (1, 2))
+    for x in (z, one, inst_plain.make([F(2)]), inst_plain.make([F(-3)])):
+        assert member(inst_plain, x, u1)
+    rep = validate(inst_plain, p)
+    assert not rep.checks["7p"]
+    assert not rep.checks["r72i"]
+    # U_0 = <1/3> + Z contains Z, but through no base-0 lattice atom
+    thirds = symset_from_atoms(
+        inst_plain, [make_atom(inst_plain, z, (inst_plain.make([F(1, 3)]),), 1)]
+    )
+    p = Condition(frozenset({3}), 0, (thirds,), (1,))
+    assert member(inst_plain, one, thirds)
+    assert validate(inst_plain, p).failures() == ["r72ii"]
+
+
 def test_validate_detects_bad_divisibility(inst_plain):
     p = Condition(
         frozenset(),
