@@ -2,7 +2,7 @@
 """Build the reference instance end to end and tabulate what it certifies.
 
 Same parameters as scripts/example_config.json: m = 1, all of Q, H = Z/2,
-level budget 2, the first 10 enumerated elements, seed 0.  Prints the
+level budget 2, the first 10 enumerated elements.  Prints the
 chain profile, one line per separation certificate, and the capture
 witnesses at every level in the budget, then checks the stage invariants
 (symmetry, sums and nesting of the stage sets) by their syntactic
@@ -28,13 +28,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-level", type=int, default=2)
     ap.add_argument("--count", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     inst = Instance(WideGroup(1, "full"), HSpec(0, (2,)))
     t0 = time.monotonic()
-    chain = build_chain(inst, args.max_level, args.count,
-                        rng_seed=args.seed, sample_budget=200)
+    chain = build_chain(inst, args.max_level, args.count)
     print(f"built {len(chain.conditions)} conditions "
           f"(max level {chain.max_level}) in {time.monotonic() - t0:.2f}s")
     for i in range(chain.max_level + 1):

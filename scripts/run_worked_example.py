@@ -4,15 +4,23 @@
 Starting from the root condition over Q + Z/2 with denominators opened at
 {3}, the target x = 1/3 is captured at depth 0, so the witness has k = 2
 generator parts.  The script prints every object the step produces and
-re-derives the residue obstruction that keeps the decomposition honest:
-no small multiple of the head lands in a partial generator span.
+re-derives the span lemma that keeps the decomposition honest: no small
+multiple of the head lands in a partial generator span.
 """
 
 from fractions import Fraction as F
 
-from ssgpkit import HSpec, Instance, WideGroup, extend_primes, extend_ssgp, member
+from ssgpkit import (
+    HSpec,
+    Instance,
+    WideGroup,
+    check_lemma_iterative,
+    extend_primes,
+    extend_ssgp,
+    member,
+)
+from ssgpkit.arith import valuation
 from ssgpkit.poset import root
-from ssgpkit.symsets import member_mod_qpi
 
 
 def main():
@@ -37,17 +45,20 @@ def main():
     print(f"x itself is a member: {member(inst, x, top)} "
           "(capture goes through the witness, not through x)")
 
-    # the obstruction behind the decomposition: l*g_0 never meets the span
-    # of a proper subset of the parts modulo the opened denominators
+    # the obstruction behind the decomposition: l*g_0 keeps a denominator
+    # prime that p has not opened and only one part carries
     g0 = w.head.q
-    span = [w.parts[0].q]
-    print("\nresidue obstruction, l*g_0 against Z*(1/5) + Q_{3}:")
+    gs = [g.q for g in w.parts]
+    pis = [p.pi, p.pi | {5}, p.pi | {5, 7}]
+    print("\nspan lemma for pi_0 = {3}, g_1 = 1/5, g_2 = 1/7:")
     for l in (-2, -1, 1, 2):
-        hit = member_mod_qpi(tuple(l * c for c in g0), span, frozenset({3}))
-        print(f"  l = {l:+d}: meets = {hit}")
-        assert not hit
-    print("all small multiples stay out, as required")
-
+        vals = {r: valuation(r, l * g0[0]) for r in (5, 7)}
+        print(f"  l = {l:+d}: v_5 = {vals[5]}, v_7 = {vals[7]}")
+        assert vals[5] < 0 and vals[7] < 0
+    rep = check_lemma_iterative(pis, gs, 1, g0)
+    print(f"  checks: {rep.checks}")
+    assert rep.ok()
+    print("so l*g_0 is outside Z*g_j + Q_{3} for each j and 0 < |l| <= 2")
 
 if __name__ == "__main__":
     main()

@@ -4,26 +4,24 @@ Each extension recipe lands an arbitrary condition inside one target class
 while keeping it below the input in the order: reach a prescribed level
 count, absorb a prime set, push an element out of the top level, or capture
 an element in U + <Cyc(U)>_k at the top level without adding a level.  The
-capture step is the delicate one; check_lemma_iterative re-checks the span
-properties it relies on by bounded enumeration plus an exact residue test.
+capture step is the delicate one; check_lemma_iterative decides the span
+properties it relies on exactly, from prime supports and valuations, and
+poset.leq runs it on every capture it is asked to order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-import numpy as np
-
 from .arith import (
     EMPTY_PRIMES,
     PrimeSet,
     QVec,
+    cap_multiplier,
     prime_set,
-    qpi_member,
     qpi_or_integral,
     valuation,
     vec_support,
@@ -41,14 +39,10 @@ from .symsets import (
     cyclic_in_set,
     make_atom,
     member,
-    member_mod_qpi,
     sum_sets,
     symset_from_atoms,
     union_sets,
 )
-
-# Numerators and modular products must fit in int64 for the vectorized path.
-INT64_DEN_LIMIT = 2**31
 
 KIND_LEVEL = "level"
 KIND_PRIMES = "primes"
@@ -213,134 +207,64 @@ def extend_ssgp(inst: Instance, p: Condition, x: KElem) -> tuple[Condition, SSGP
     return q, w
 
 
-# -- bounded re-check of the span properties ---------------------------------
-
-
-def _pi_part(D: int, pi: PrimeSet) -> int:
-    """Largest divisor of D supported on pi; 0 encodes the empty prime set,
-    whose denominator subgroup is just {0}."""
-    if not pi:
-        return 0
-    P = 1
-    for p in pi:
-        P *= p ** valuation(p, Fraction(D))
-    return P
-
-
-def _qpi_rows(V, D: int, P: int):
-    """Row mask: V/D lies in Q_pi^m, with P the pi-part of D (0 for empty pi)."""
-    if P == 0:
-        return np.all(V == 0, axis=1)
-    return np.all((V % D) * (P % D) % D == 0, axis=1)
+# -- exact check of the span properties -------------------------------------
 
 
 def check_lemma_iterative(
-    pis: list[PrimeSet], gs: list[QVec], s: int, g: QVec, bound: int
+    pis: list[PrimeSet], gs: list[QVec], s: int, head: Optional[QVec]
 ) -> CheckReport:
-    """Re-check the three span properties the capture step relies on.
+    """Decide the span properties the capture step relies on, exactly.
 
-    pis = [pi_0, ..., pi_k] and gs = [g_1, ..., g_k].  A_i: every sum of
-    the g_j with coefficients in [-bound, bound], shifted by a Q_{pi_0}
-    sample, lies in Q_{pi_i}^m for i the largest index used.  A_ii: such a
-    sum over indices >= i that lands in Q_{pi_{i-1}}^m lies in s*Z^m.
-    B: exact, via membership modulo Q_{pi_0}: with g_0 = g - sum(g_j), no
-    l*g_0 with 0 < |l| <= k lies in <{g_j : j in J}> + Q_{pi_0}^m for a
-    proper subset J of the indices.
+    pis = [pi_0, ..., pi_k], gs = [g_1, ..., g_k], and head is the rational
+    part g_0 of the capture head (None when there is none).  Q_pi is read
+    with Z inside it, as qpi_or_integral reads it, so pi_0 = {} means Z.
+
+    A_i: g_j lies in Q_{pi_j}^m.
+    A_ii: D_j*g_j lies in s*Z^m, where D_j*g_j generates
+    <g_j> cap Q_{pi_{j-1}}^m: D_j = cap_multiplier(g_j, pi_{j-1}), or at
+    pi_{j-1} = {} the lcm of the denominators of g_j, which is what the
+    integral reading gives there.
+    B: for each part t, some denominator prime r of g_0 lies outside pi_0
+    and outside the supports of the other parts, and no l*g_0 with
+    0 < |l| <= k clears it, which holds iff r**e > k for e the largest
+    power of r in a denominator of g_0.
+
+    What they give, for integers c_j and l with 0 <= |l| <= k: if
+    l*g_0 + sum c_j*g_j lies in Q_{pi_0}^m and some part t has c_t = 0,
+    then l = 0 (B: the r-adic valuation of the sum is that of l*g_0, which
+    is negative); and if sum c_j*g_j lies in Q_{pi_0}^m then every c_j*g_j
+    lies in s*Z^m (A, descending from the largest j with c_j != 0: the
+    earlier terms lie in Q_{pi_{j-1}}^m by A_i, so D_j | c_j).
     """
     k = len(gs)
     if len(pis) != k + 1:
         raise ValueError("need k+1 prime sets for k elements")
-    if s == 0 or bound < 0:
-        raise ValueError("need nonzero scale and non-negative bound")
-    m = len(g)
-    if any(len(gj) != m for gj in gs):
+    if s == 0:
+        raise ValueError("need a nonzero scale")
+    m = len(gs[0]) if gs else len(head or ())
+    if any(len(gj) != m for gj in gs) or (head is not None and len(head) != m):
         raise ValueError("mixed vector lengths")
     pis = [prime_set(p) for p in pis]
     if any(not (a <= b) for a, b in zip(pis, pis[1:])):
         raise ValueError("prime sets must be increasing")
-    ss = abs(s)
 
-    # Common denominator covering the g_j and one 1/p shift per pi_0 prime.
-    D = 1
-    for gj in gs:
-        for c in gj:
-            D = lcm(D, c.denominator)
-    for p in pis[0]:
-        D = lcm(D, p)
-    N = [[int(c * D) for c in gj] for gj in gs]
-    shifts = [0] + [D // p for p in sorted(pis[0])]
-    Pparts = [_pi_part(D, pi) for pi in pis]
-
-    radix = 2 * bound + 1
-    total = radix**k
-    if total > 200_000_000:
-        raise ValueError("coefficient enumeration too large")
-    maxabs = max((abs(v) for row in N for v in row), default=0)
-    small = (
-        D < INT64_DEN_LIMIT
-        and k * bound * maxabs + D < 2**62
-        and D * ss < 2**62
-    )
-
-    ok_ai = True
+    ok_ai = all(qpi_or_integral(gj, pi) for gj, pi in zip(gs, pis[1:]))
     ok_aii = True
-    if small:
-        Nmat = np.array(N, dtype=np.int64).reshape(k, m)
-        pows = np.array([radix**j for j in range(k)], dtype=np.int64)
-        ladder = np.arange(1, k + 1, dtype=np.int64)
-        chunk = 200_000
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            C = (idx[:, None] // pows) % radix - bound
-            V = C @ Nmat
-            nz = C != 0
-            top = np.max(nz * ladder, axis=1)
-            bot = np.min(np.where(nz, ladder, k + 1), axis=1)
-            for t in range(0, k + 1):
-                sel = top == t
-                if not sel.any():
-                    continue
-                Vt = V[sel]
-                for sh in shifts:
-                    if not _qpi_rows(Vt + sh, D, Pparts[t]).all():
-                        ok_ai = False
-            for b in range(1, k + 1):
-                sel = bot == b
-                if not sel.any():
-                    continue
-                Vb = V[sel]
-                hyp = _qpi_rows(Vb, D, Pparts[b - 1])
-                if hyp.any():
-                    conc = np.all(Vb % (D * ss) == 0, axis=1)
-                    if not conc[hyp].all():
-                        ok_aii = False
-    else:
-        # Exact fallback for numerators beyond the int64 safety margin.
-        shift_fracs = [Fraction(sh, D) for sh in shifts]
-        for coeffs in itertools.product(range(-bound, bound + 1), repeat=k):
-            val = tuple(
-                sum((n * gj[i] for n, gj in zip(coeffs, gs)), Fraction(0))
-                for i in range(m)
-            )
-            used = [j + 1 for j, n in enumerate(coeffs) if n != 0]
-            t = used[-1] if used else 0
-            for sh in shift_fracs:
-                shifted = tuple(c + sh for c in val)
-                if not qpi_member(shifted, pis[t]):
-                    ok_ai = False
-            b = used[0] if used else k + 1
-            if b <= k and qpi_member(val, pis[b - 1]):
-                if not all(c.denominator == 1 and c % ss == 0 for c in val):
-                    ok_aii = False
+    for gj, prev in zip(gs, pis):
+        D = cap_multiplier(gj, prev) if prev else lcm(*(c.denominator for c in gj))
+        if any((D * c / s).denominator != 1 for c in gj):
+            ok_aii = False
 
-    g0 = tuple(c - sum((gj[i] for gj in gs), Fraction(0)) for i, c in enumerate(g))
     ok_b = True
-    for r in range(k):
-        for J in itertools.combinations(range(k), r):
-            gensJ = [gs[j] for j in J]
-            for l in range(-k, k + 1):
-                if l == 0:
-                    continue
-                if member_mod_qpi(tuple(l * c for c in g0), gensJ, pis[0]):
-                    ok_b = False
+    if head is not None:
+        deep = set()
+        for r in vec_support(head) - pis[0]:
+            e = max(max(0, -valuation(r, c)) for c in head)
+            if r**e > k:
+                deep.add(r)
+        supps = [vec_support(gj) for gj in gs]
+        for t in range(k):
+            others = set().union(*(sp for j, sp in enumerate(supps) if j != t))
+            if not deep - others:
+                ok_b = False
     return CheckReport({"A_i": ok_ai, "A_ii": ok_aii, "B": ok_b})

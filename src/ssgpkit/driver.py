@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .density import (
     KIND_AVOID,
@@ -115,21 +115,14 @@ class FilterChain:
         return max(p.n for p in self.conditions)
 
 
-def _push(
-    inst: Instance,
-    chain: list[Condition],
-    q: Condition,
-    claim: str,
-    sample_budget: int,
-    rng_seed: int,
-) -> int:
+def _push(inst: Instance, chain: list[Condition], q: Condition, claim: str) -> int:
     """Validate q and its order relation to the chain tail, then append."""
     if q is chain[-1]:
         return len(chain) - 1
     rep = validate(inst, q)
     if not rep.ok():
         raise BuildError(f"{claim}: condition fails {rep.failures()}")
-    rep = leq(inst, q, chain[-1], sample_budget=sample_budget, rng_seed=rng_seed)
+    rep = leq(inst, q, chain[-1])
     if not rep.ok():
         raise BuildError(f"{claim}: order relation fails {rep.failures()}")
     chain.append(q)
@@ -147,7 +140,8 @@ def build_chain(
 
     Enumerates x over the first enum_count elements of K.  Every x gets a
     capture certificate for every level up to max_level; every nonzero x
-    gets a separation level.
+    gets a separation level.  Every check is exact, so rng_seed and
+    sample_budget only travel into the chain file.
     """
     if max_level < 0 or enum_count < 1:
         raise ValueError("need max_level >= 0 and enum_count >= 1")
@@ -155,15 +149,12 @@ def build_chain(
     met: list[MetRequest] = []
 
     q = extend_to_level(inst, conditions[-1], max_level)
-    _push(inst, conditions, q, "level ramp", sample_budget, rng_seed)
+    _push(inst, conditions, q, "level ramp")
 
     xs = inst.enumerate_first(enum_count)
     for x in xs:
         q, w = extend_ssgp(inst, conditions[-1], x)
-        idx = _push(
-            inst, conditions, q, f"capture of {inst.format_elem(x)}",
-            sample_budget, rng_seed,
-        )
+        idx = _push(inst, conditions, q, f"capture of {inst.format_elem(x)}")
         if not member(inst, w.head, q.u[q.n]):
             raise BuildError(f"capture of {inst.format_elem(x)}: head escapes")
         for n in range(max_level + 1):
@@ -173,10 +164,7 @@ def build_chain(
         if x.is_zero():
             continue
         q = extend_avoid(inst, conditions[-1], x)
-        idx = _push(
-            inst, conditions, q, f"separation of {inst.format_elem(x)}",
-            sample_budget, rng_seed,
-        )
+        idx = _push(inst, conditions, q, f"separation of {inst.format_elem(x)}")
         if member(inst, x, q.u[q.n]):
             raise BuildError(
                 f"separation of {inst.format_elem(x)}: still a member"
@@ -313,6 +301,29 @@ def save_chain(chain: FilterChain, path) -> None:
         f.write(chain_bytes(chain))
 
 
+def chain_checks(chain: FilterChain) -> Iterator[tuple[str, str, CheckReport]]:
+    """Every check a loaded chain must pass, lazily and in order, as
+    (report key, label, report): each condition with validate, the first
+    one also with a "root" check that it is the root condition, then each
+    adjacent pair with leq.  Keys are "condition_KK" and "order_KK", KK the
+    (later) condition's index; chain_from_json stops at the first failure,
+    `ssgpkit verify` reports them all.  A condition whose level or scale
+    list does not match its n raises ChainFormatError instead."""
+    inst = chain.inst
+    conds = chain.conditions
+    for k, p in enumerate(conds):
+        rep = validate(inst, p)
+        if not (rep.checks["2p"] and rep.checks["3p"]):
+            # levels or scales do not match n: no other check can read p
+            raise ChainFormatError(f"condition {k} fails {rep.failures()}")
+        if k == 0:
+            rep.checks["root"] = p == root(inst)
+        yield f"condition_{k:02d}", f"condition {k}", rep
+    for k in range(1, len(conds)):
+        rep = leq(inst, conds[k], conds[k - 1])
+        yield f"order_{k:02d}", f"conditions {k} <= {k - 1}", rep
+
+
 def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
     if obj.get("format") != CHAIN_FORMAT:
         raise ChainFormatError(f"not a {CHAIN_FORMAT} file")
@@ -330,21 +341,9 @@ def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
     budget = int(obj["sample_budget"])
     chain = FilterChain(inst, conditions, met, seed, budget)
     if revalidate:
-        if conditions[0] != root(inst):
-            raise ChainFormatError("chain does not start at the root condition")
-        for k, p in enumerate(conditions):
-            rep = validate(inst, p)
+        for _, label, rep in chain_checks(chain):
             if not rep.ok():
-                raise ChainFormatError(f"condition {k} fails {rep.failures()}")
-        for k in range(1, len(conditions)):
-            rep = leq(
-                inst, conditions[k], conditions[k - 1],
-                sample_budget=budget, rng_seed=seed,
-            )
-            if not rep.ok():
-                raise ChainFormatError(
-                    f"conditions {k} <= {k - 1} fails {rep.failures()}"
-                )
+                raise ChainFormatError(f"{label} fails {rep.failures()}")
     return chain
 
 

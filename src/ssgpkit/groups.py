@@ -299,10 +299,6 @@ class Instance:
     def enumerate_first(self, n: int) -> list[KElem]:
         return [self.enumerate_k(i) for i in range(n)]
 
-    def count_upto_height(self, bound: int) -> int:
-        """N(bound): how many enumeration indices cover all heights <= bound."""
-        return sum(len(self._block(h)) for h in range(bound + 1))
-
     # -- text and JSON forms -------------------------------------------------
 
     def format_elem(self, x: KElem) -> str:

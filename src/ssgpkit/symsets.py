@@ -2,12 +2,12 @@
 
 A set is a finite union of atoms  base + Z*g_1 + ... + Z*g_r + mod*Z^m
 together with structural sum parts  left + right + latt*Z^m  kept unexpanded.
-Sum parts exist because the level-tower construction squares set sizes per
-level: materializing every pairwise atom sum across a whole chain is
-exponential in tower height, while membership only ever needs the pairwise
-sums of the (much smaller) child sets, searched lazily with a
-denominator-support prune.  Membership stays exact either way: the prune is
-a necessary condition, never a filter on correctness.
+Sums are always structural, because the level-tower construction squares
+set sizes per level: materializing every pairwise atom sum across a whole
+chain is exponential in tower height, while membership only ever needs the
+pairwise sums of the (much smaller) child sets, searched lazily with a
+denominator-support prune.  Membership stays exact: the prune is a
+necessary condition, never a filter on correctness.
 
 Atom membership reduces to integer feasibility of one linear system (gen
 coefficients, lattice vector, torsion slacks), solved by exact diagonal
@@ -21,16 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import (
-    PrimeSet,
-    QVec,
-    cap_multiplier,
-    valuation,
-    vec_support,
-)
+from .arith import PrimeSet, vec_support
 from .groups import Instance, KElem, elem_to_json
 
-SUM_MATERIALIZE_LIMIT = 32  # max atom pairs expanded eagerly by sum_sets
 EXPAND_LIMIT = 500_000  # hard cap on lazy expansion size
 
 
@@ -439,22 +432,35 @@ def lattice_set(inst: Instance, s: int) -> SymSet:
     return SymSet((make_atom(inst, inst.zero(), (), s),), ())
 
 
+def _atom_covered(big: SymSet, b: Atom) -> bool:
+    return any(atom_subsumes(a, b) for a in big.atoms)
+
+
+def _sum_covered(inst: Instance, big: SymSet, sb: SumPart) -> bool:
+    return any(
+        sa.key() == sb.key() or _sumpart_superset(inst, sa, sb) for sa in big.sums
+    )
+
+
 def symset_superset_syntactic(inst: Instance, big: SymSet, small: SymSet) -> bool:
     """Syntactic big >= small: every atom of small is subsumed by an atom of
     big, every sum part of small by a sum part of big (children recursively
     syntactic-superset, lattice at least as coarse)."""
-    for b in small.atoms:
-        if not any(atom_subsumes(a, b) for a in big.atoms):
-            return False
-    for sb in small.sums:
-        ok = False
-        for sa in big.sums:
-            if sa.key() == sb.key() or _sumpart_superset(inst, sa, sb):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return all(_atom_covered(big, b) for b in small.atoms) and all(
+        _sum_covered(inst, big, sb) for sb in small.sums
+    )
+
+
+def syntactic_remainder(
+    inst: Instance, big: SymSet, small: SymSet
+) -> tuple[list[Atom], list[SumPart]]:
+    """The atoms and sum parts of small that no item of big syntactically
+    covers; both lists are empty exactly when symset_superset_syntactic
+    holds."""
+    return (
+        [b for b in small.atoms if not _atom_covered(big, b)],
+        [sb for sb in small.sums if not _sum_covered(inst, big, sb)],
+    )
 
 
 def _sumpart_superset(inst: Instance, big: SumPart, small: SumPart) -> bool:
@@ -497,18 +503,9 @@ def union_sets(inst: Instance, *sets: SymSet) -> SymSet:
 
 
 def sum_sets(inst: Instance, S: SymSet, T: SymSet, latt: int = 0) -> SymSet:
-    """S + T (+ latt*Z^m).  Materialized pairwise while small; represented
-    structurally beyond SUM_MATERIALIZE_LIMIT pairs, with identical
-    membership semantics."""
-    try:
-        left = expansion(inst, S)
-        right = expansion(inst, T)
-    except ExpansionLimitError:
-        return SymSet((), (SumPart(S, T, latt),))
-    if len(left) * len(right) > SUM_MATERIALIZE_LIMIT:
-        return SymSet((), (SumPart(S, T, latt),))
-    out = [atom_add(inst, a, b, latt) for a in left for b in right]
-    return symset_from_atoms(inst, out)
+    """S + T (+ latt*Z^m) as one structural sum part; membership searches
+    its atom pairs lazily."""
+    return SymSet((), (SumPart(S, T, latt),))
 
 
 def neg_set(inst: Instance, S: SymSet) -> SymSet:
@@ -526,7 +523,10 @@ def is_symmetric_syntactic(inst: Instance, S: SymSet) -> bool:
 
 
 def sample_point(inst: Instance, S: SymSet, rng, bound: int = 12) -> KElem:
-    """Random element: random atom or sum part, coefficients in [-bound, bound]."""
+    """Random element: random atom or sum part, coefficients in [-bound, bound].
+
+    No check in this package samples; this draws points for tests and
+    benchmark tooling."""
     n_choices = len(S.atoms) + len(S.sums)
     if n_choices == 0:
         raise ValueError("cannot sample from an empty set")
@@ -552,14 +552,6 @@ def sample_point(inst: Instance, S: SymSet, rng, bound: int = 12) -> KElem:
 # -- cyclic subgroups --------------------------------------------------------
 
 
-def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
-    """Generator of <g> cap Q_pi^m, namely D*g with D the product of
-    outside-pi prime powers clearing the denominators; D = 0 (zero
-    generator) for pi = {} and g != 0 under the Q_{} = {0} convention."""
-    D = cap_multiplier(g, pi)
-    return tuple(D * c for c in g)
-
-
 def _cyclic_syntactic(inst: Instance, canon, S: SymSet) -> bool:
     for a in S.atoms:
         if a.base.is_zero() and any(_elem_key(x) == canon for x in a.gens):
@@ -583,71 +575,6 @@ def cyclic_in_set(inst: Instance, g: KElem, S: SymSet) -> bool:
     no certificate is visible, not that <g> escapes S."""
     canon = min(_elem_key(g), _elem_key(inst.neg(g)))
     return _cyclic_syntactic(inst, canon, S)
-
-
-# -- membership modulo Q_pi --------------------------------------------------
-
-
-def member_mod_qpi(x: QVec, gens: Sequence[QVec], pi: PrimeSet) -> bool:
-    """Exact decision of x in Z*gens[0] + ... + Z*gens[r-1] + Q_pi^m.
-
-    Only valuations at primes outside pi constrain anything.  Clearing all
-    outside-pi denominator content by one multiplier M turns the condition
-    into a linear congruence system modulo M; inside-pi denominators are
-    units modulo M and are cleared per row.  For pi = {} the convention
-    Q_{} = {0} makes this exact integer-span membership.
-    """
-    m = len(x)
-    if any(len(g) != m for g in gens):
-        raise ValueError("generator length mismatch")
-    pi = frozenset(pi)
-
-    if not pi:
-        # Q_{} = {0}: x must equal an exact integer combination.
-        if not gens:
-            return all(c == 0 for c in x)
-        rows = []
-        rhs = []
-        for i in range(m):
-            denlcm = x[i].denominator
-            for g in gens:
-                denlcm = denlcm * g[i].denominator // math.gcd(denlcm, g[i].denominator)
-            rows.append([int(g[i] * denlcm) for g in gens])
-            rhs.append(int(x[i] * denlcm))
-        return snf_solve(rows, rhs) is not None
-
-    outside = vec_support(x) - pi
-    for g in gens:
-        outside |= vec_support(g) - pi
-    if not outside:
-        return True  # x and all generators already in Q_pi^m: take n = 0
-    M = 1
-    for p in sorted(outside):
-        worst = 0
-        for vec in (x, *gens):
-            for c in vec:
-                v = valuation(p, c)
-                if v != math.inf and -v > worst:
-                    worst = -v
-        M *= p**worst
-    rows = []
-    rhs = []
-    for i in range(m):
-        # M*x_i and M*g_{j,i} have no outside-pi denominators left; the
-        # remaining inside-pi denominator lcm is a unit mod M, so clearing
-        # it per row preserves the congruence system modulo M.
-        vals = [M * g[i] for g in gens]
-        tgt = M * x[i]
-        denlcm = tgt.denominator
-        for val in vals:
-            denlcm = denlcm * val.denominator // math.gcd(denlcm, val.denominator)
-        if math.gcd(denlcm, M) != 1:
-            raise AssertionError("inside-pi denominator shares a factor with M")
-        row = [int(val * denlcm) % M for val in vals] + [0] * m
-        row[len(gens) + i] = M
-        rows.append(row)
-        rhs.append(int(tgt * denlcm) % M)
-    return snf_solve(rows, rhs) is not None
 
 
 # -- SSGP witnesses ----------------------------------------------------------

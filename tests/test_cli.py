@@ -116,21 +116,6 @@ def test_build_deterministic_bytes(workdir):
     assert a == b
 
 
-def test_build_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
-    # a level-2 build needs a 64-pair expansion; a cap of 16 stands in for
-    # the real cap that deep level budgets outgrow
-    import ssgpkit.symsets
-
-    monkeypatch.setattr(ssgpkit.symsets, "EXPAND_LIMIT", 16)
-    cfg = tmp_path / "deep.json"
-    cfg.write_text(json.dumps(dict(CONFIG, budget={"max_level": 2, "enum_count": 3})))
-    rc = main(["build", "--config", str(cfg), "--out", str(tmp_path / "c.json")])
-    assert rc == EXIT_BUDGET
-    err = capsys.readouterr().err
-    assert "level budget" in err and "limit is 16" in err
-    assert len(err.strip().splitlines()) == 1
-
-
 def test_build_construction_error_exits_1(tmp_path, capsys, monkeypatch):
     import ssgpkit.density
 
@@ -244,17 +229,41 @@ def test_query_bad_element_exits_2(workdir, capsys):
     assert "bad element" in capsys.readouterr().err
 
 
+def test_query_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # at level budget 2 a miss at level 0 expands the level-1 sum part,
+    # whose children hold 15 x 15 atom pairs; a cap of 16 stands in for
+    # the real cap that deep level budgets outgrow
+    import ssgpkit.symsets
+
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(dict(CONFIG, budget={"max_level": 2, "enum_count": 3})))
+    chain = tmp_path / "c.json"
+    assert main(["build", "--config", str(cfg), "--out", str(chain)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(ssgpkit.symsets, "EXPAND_LIMIT", 16)
+    rc = main([
+        "query", "member", "--chain", str(chain),
+        "--element", "1/97;0", "--level", "0",
+    ])
+    assert rc == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "level budget" in err and "limit is 16" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # -- verify ------------------------------------------------------------------
 
 
 def test_verify_passes_and_is_byte_stable(workdir, capsys):
-    argv = ["verify", "--chain", str(workdir / "chain.json"), "--samples", "40"]
+    argv = ["verify", "--chain", str(workdir / "chain.json")]
     rc = main(argv)
     first = capsys.readouterr().out
     assert rc == EXIT_OK
     rep = json.loads(first)
+    assert set(rep) == {"ok", "checks", "failures"}
     assert rep["ok"] is True
     assert all(rep["checks"].values())
+    assert rep["failures"] == {}
     # every certificate class shows up
     keys = rep["checks"]
     assert any(k.startswith("condition_") for k in keys)
@@ -274,7 +283,33 @@ def test_verify_tampered_chain_exits_1(workdir, tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     rc = main(["verify", "--chain", str(bad)])
     assert rc == EXIT_CHECK
-    assert "chain error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "chain error" not in captured.err
+    rep = json.loads(captured.out)
+    assert rep["ok"] is False
+    # condition 1 no longer divides its lattice into its scale, and
+    # condition 2 no longer keeps condition 1's scales
+    assert rep["checks"]["condition_01"] is False
+    assert rep["checks"]["order_02"] is False
+    assert rep["checks"]["condition_00"] is True
+    assert rep["failures"]["condition_01"] == ["6p", "r72ii"]
+    assert "iv" in rep["failures"]["order_02"]
+    assert set(rep["failures"]) == {
+        k for k, ok in rep["checks"].items() if not ok
+    }
+
+
+@pytest.mark.parametrize("field, keep", [("s", 1), ("u", 1)])
+def test_verify_malformed_condition_is_chain_error(workdir, tmp_path, capsys, field, keep):
+    # a level or scale list that does not match n leaves nothing to check
+    obj = json.loads((workdir / "chain.json").read_text())
+    obj["conditions"][1][field] = obj["conditions"][1][field][:keep]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--chain", str(bad)])
+    assert rc == EXIT_CHECK
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("chain error: condition 1 fails")
 
 
 def test_verify_corrupt_file_exits_1(tmp_path, capsys):
@@ -295,6 +330,26 @@ def test_show_prints_overview(workdir, capsys):
     text = capsys.readouterr().out
     assert "instance: m=1, group full-q" in text
     assert "conditions:" in text and "met requests:" in text
+    rows = [line for line in text.splitlines() if line.startswith("[")]
+    assert rows[0].endswith("n=0 s=[1] atoms/level=[1] sums/level=[0]")
+    # each capture at level budget 1 adds a sum part at level 0 and
+    # 2 heads + 3 parts at level 1
+    assert rows[2].endswith("atoms/level=[1,6] sums/level=[1,0]")
+    for row in rows:
+        atoms, sums = row.split(" atoms/level=")[1].split(" sums/level=")
+        assert atoms.count(",") == sums.count(",")
+
+
+def test_import_does_not_load_numpy():
+    # numpy is a test-only dependency; the package must import without it
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import ssgpkit, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,15 +1,17 @@
 """Dense-class constructors against the hand-worked capture example, plus
-bounded re-checks of the span properties with injected violations.
+the exact span-property check with injected violations and a
+congruence-solver oracle for its valuation test.
 """
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ssgpkit.density as density
-from ssgpkit.arith import qpi_member
+from ssgpkit.arith import qpi_member, vec_support
 from ssgpkit.density import (
     DenseRequest,
     check_lemma_iterative,
@@ -20,7 +22,9 @@ from ssgpkit.density import (
 )
 from ssgpkit.groups import HSpec, Instance, WideGroup, find_g_sequence
 from ssgpkit.poset import leq, root, validate
-from ssgpkit.symsets import cyclic_in_set, member, member_mod_qpi
+from ssgpkit.symsets import cyclic_in_set, member
+
+from oracles import member_mod_qpi
 
 
 @pytest.fixture
@@ -255,7 +259,12 @@ def test_request_json_round_trip(inst):
         assert DenseRequest.from_json(inst, r.to_json()) == r
 
 
-# -- span-property oracle ----------------------------------------------------
+# -- span-property check ----------------------------------------------------
+
+
+def head_of(g, gs):
+    """The head g_0 = g - sum(g_j) of a capture of g with parts gs."""
+    return tuple(c - sum(gj[i] for gj in gs) for i, c in enumerate(g))
 
 
 def worked_inputs():
@@ -266,8 +275,9 @@ def worked_inputs():
 
 def test_lemma_check_worked_sequence():
     pis, gs = worked_inputs()
-    rep = check_lemma_iterative(pis, gs, 1, (F(1, 3),), 10)
+    rep = check_lemma_iterative(pis, gs, 1, head_of((F(1, 3),), gs))
     assert rep.ok(), rep.failures()
+    assert rep.checks == {"A_i": True, "A_ii": True, "B": True}
 
 
 def test_lemma_check_residue_obstruction():
@@ -278,69 +288,78 @@ def test_lemma_check_residue_obstruction():
 
 def test_lemma_check_flags_escaping_span():
     # g_1 = 1/11 is not inside Q_{3,5}, so A_i must fail
+    gs = [(F(1, 11),), (F(1, 7),)]
     rep = check_lemma_iterative(
         [frozenset({3}), frozenset({3, 5}), frozenset({3, 5})],
-        [(F(1, 11),), (F(1, 7),)],
+        gs,
         1,
-        (F(1, 3),),
-        4,
+        head_of((F(1, 3),), gs),
     )
     assert not rep.checks["A_i"]
 
 
 def test_lemma_check_flags_nonlattice_intersection():
     # <1/5> meets Q_{3,5} far outside Z, so A_ii must fail
+    gs = [(F(1, 5),), (F(1, 5),)]
     rep = check_lemma_iterative(
         [frozenset({3}), frozenset({3, 5}), frozenset({3, 5})],
-        [(F(1, 5),), (F(1, 5),)],
+        gs,
         1,
-        (F(1, 3),),
-        4,
+        head_of((F(1, 3),), gs),
     )
     assert not rep.checks["A_ii"]
 
 
 def test_lemma_check_flags_captured_head():
     # parts telescoping to g itself leave g_0 = 0, which every span contains
+    gs = [(F(1, 5),), (F(1, 3) - F(1, 5),)]
     rep = check_lemma_iterative(
         [frozenset({3}), frozenset({3, 5}), frozenset({3, 5, 7})],
-        [(F(1, 5),), (F(1, 3) - F(1, 5),)],
+        gs,
         1,
-        (F(1, 3),),
-        4,
+        head_of((F(1, 3),), gs),
     )
     assert not rep.checks["B"]
 
 
-def test_lemma_check_exact_fallback_agrees(monkeypatch):
-    pis, gs = worked_inputs()
-    fast = check_lemma_iterative(pis, gs, 1, (F(1, 3),), 5)
-    monkeypatch.setattr(density, "INT64_DEN_LIMIT", 1)
-    slow = check_lemma_iterative(pis, gs, 1, (F(1, 3),), 5)
-    assert fast.checks == slow.checks
-    assert fast.ok()
+def test_lemma_check_reads_empty_pi_as_integers():
+    # at pi_0 = {} the integral reading caps <1/5> at 5*(1/5) = 1, which
+    # lies in 2Z only if it is doubled: A_ii fails for s = 2, holds for 1
+    gs = [(F(1, 5),)]
+    pis = [frozenset(), frozenset({5})]
+    assert not check_lemma_iterative(pis, gs, 2, None).checks["A_ii"]
+    assert check_lemma_iterative(pis, gs, 1, None).ok()
+    # 1/10 has no prime private to part 2: 5 is in g_1's support and 2 is
+    # cleared by l = 2 <= k; 1/35 has 5 for part 2 and 7 for part 1
+    gs = [(F(1, 5),), (F(1, 7),)]
+    pis = [frozenset(), frozenset({5}), frozenset({5, 7})]
+    assert not check_lemma_iterative(pis, gs, 1, (F(1, 10),)).checks["B"]
+    assert check_lemma_iterative(pis, gs, 1, (F(1, 35),)).ok()
 
 
-def test_lemma_check_huge_denominator_uses_fallback():
+def test_lemma_check_huge_denominator():
     p = 2147483659  # prime just above 2^31
+    gs = [(F(1, p),), (F(1, 7),)]
     rep = check_lemma_iterative(
         [frozenset(), frozenset({p}), frozenset({7, p})],
-        [(F(1, p),), (F(1, 7),)],
+        gs,
         1,
-        (F(0),),
-        3,
+        head_of((F(0),), gs),
     )
     assert rep.ok()
 
 
 def test_lemma_check_input_validation():
     pis, gs = worked_inputs()
+    head = head_of((F(1, 3),), gs)
     with pytest.raises(ValueError):
-        check_lemma_iterative(pis[:2], gs, 1, (F(1, 3),), 4)
+        check_lemma_iterative(pis[:2], gs, 1, head)
     with pytest.raises(ValueError):
-        check_lemma_iterative(pis, gs, 0, (F(1, 3),), 4)
+        check_lemma_iterative(pis, gs, 0, head)
     with pytest.raises(ValueError):
-        check_lemma_iterative(list(reversed(pis)), gs, 1, (F(1, 3),), 4)
+        check_lemma_iterative(list(reversed(pis)), gs, 1, head)
+    with pytest.raises(ValueError):
+        check_lemma_iterative(pis, gs, 1, (F(0), F(0)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,5 +375,59 @@ def test_lemma_check_on_generated_sequences(pi0, s, m, data):
     # g ranges over a few Q_{pi_0} points, the zero vector included
     coords = [F(0), F(2)] + [F(1, p) for p in sorted(pi0)]
     g = tuple(data.draw(st.sampled_from(coords)) for _ in range(m))
-    rep = check_lemma_iterative([pi0] + pis, gs, s, g, 5)
+    rep = check_lemma_iterative([pi0] + pis, gs, s, head_of(g, gs))
     assert rep.ok(), rep.failures()
+
+
+def b_refuted_by_oracle(pi0, gs, head):
+    """Whether member_mod_qpi finds l*head in <g_J> + Q_{pi_0}^m for some
+    proper subset J of the parts and some 0 < |l| <= k."""
+    k = len(gs)
+    for r in range(k):
+        for J in itertools.combinations(range(k), r):
+            for l in range(-k, k + 1):
+                if l and member_mod_qpi(
+                    tuple(l * c for c in head), [gs[j] for j in J], pi0
+                ):
+                    return True
+    return False
+
+
+def test_lemma_b_never_passes_where_the_oracle_finds_a_span():
+    # the valuation test of B is sufficient: wherever it passes, no small
+    # multiple of the head lies in the span of a proper subset of the parts
+    # modulo Q_{pi_0}; checked on generated captures with nonempty pi_0 and
+    # on hand-made heads, several of which a span captures
+    rng = random.Random(41)
+    cases = []
+    for _ in range(12):
+        m = rng.randint(1, 2)
+        pi0 = frozenset(rng.sample([2, 3, 5, 7], rng.randint(1, 3)))
+        k = rng.choice([2, 3])
+        pis, gs = find_g_sequence(WideGroup(m, "full"), pi0, k, rng.randint(1, 3))
+        coords = [F(0), F(1)] + [F(1, p) for p in sorted(pi0)]
+        g = tuple(rng.choice(coords) for _ in range(m))
+        cases.append((pi0, gs, head_of(g, gs)))
+    pi0 = frozenset({3})
+    gs = [(F(1, 5),), (F(1, 7),)]
+    for head in [
+        (F(-1, 105),),  # the worked example: B holds
+        (F(1, 5),),  # in <g_1>: no prime private to part 2
+        (F(2, 15),),  # 1/5 times a unit of Q_{3}: in <g_1> + Q_{3}
+        (F(1, 35),),  # both primes, one each: B holds
+        (F(1, 2),),  # 2*(1/2) clears it, and 2 <= k
+        (F(1, 10),),  # private to no part and cleared by 2
+        (F(1, 25),),  # outside every span, but no prime private to part 2
+    ]:
+        cases.append((pi0, gs, head))
+    passed = refuted = 0
+    for pi0, gs, head in cases:
+        pis = [pi0]
+        for gj in gs:
+            pis.append(pis[-1] | vec_support(gj))
+        b = check_lemma_iterative(pis, gs, 1, head).checks["B"]
+        hit = b_refuted_by_oracle(pi0, gs, head)
+        assert not (b and hit), (pi0, gs, head)
+        passed += b
+        refuted += hit
+    assert passed >= 12 and refuted >= 3

@@ -57,6 +57,30 @@ def test_chain_is_decreasing_and_valid(inst, chain):
         assert rep.ok(), (k, rep.failures())
 
 
+@pytest.mark.parametrize(
+    "group, h, max_level, enum_count",
+    [
+        (WideGroup(1, "full"), HSpec(0, (2,)), 3, 2),  # the benchmark's deep chain
+        (WideGroup(1, "full"), HSpec(0, (2,)), 2, 3),  # the benchmark's query chain
+        (WideGroup(2, "full"), HSpec(1, (3,)), 1, 4),
+        (WideGroup(1, "residue", 1, 4), HSpec(0, ()), 2, 3),
+    ],
+)
+def test_every_capture_order_pair_is_certified(group, h, max_level, enum_count):
+    # build_chain already refuses an uncertified step; this pins that the
+    # exact iii_sub certificate carries the captures, heads and all
+    inst_ = Instance(group, h)
+    c = build_chain(inst_, max_level, enum_count)
+    conds = c.conditions
+    grown = 0
+    for k in range(1, len(conds)):
+        rep = leq(inst_, conds[k], conds[k - 1])
+        assert rep.ok(), (k, rep.failures())
+        top = conds[k - 1].n
+        grown += len(conds[k].u[top].atoms) > len(conds[k - 1].u[top].atoms)
+    assert grown == sum(1 for x in inst_.enumerate_first(enum_count) if not x.is_zero())
+
+
 def test_every_request_within_budget_is_met(inst, chain):
     xs = inst.enumerate_first(10)
     seps = sum(1 for x in xs if not x.is_zero())

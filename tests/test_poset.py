@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ssgpkit.density import extend_primes, extend_ssgp, extend_to_level
 from ssgpkit.groups import HSpec, Instance, WideGroup
 from ssgpkit.poset import Condition, extend_with_avoidance, leq, root, validate
 from ssgpkit.symsets import (
@@ -16,6 +17,7 @@ from ssgpkit.symsets import (
     make_atom,
     member,
     sample_point,
+    sum_sets,
     symset_from_atoms,
     union_sets,
 )
@@ -190,6 +192,163 @@ def test_leq_iii_sub_catches_uncovered_growth(inst_plain):
     q = Condition(frozenset({2}), 0, (grown,), (1,))
     rep = leq(inst_plain, q, p, sample_budget=500, rng_seed=3)
     assert not rep.checks["iii_sub"]
+
+
+def _with_level(p, i, S):
+    u = list(p.u)
+    u[i] = S
+    return Condition(p.pi, p.n, tuple(u), p.s)
+
+
+def _worked_capture(inst):
+    # the hand-worked step: over pi = {3}, 1/3 = -1/105 + 1/5 + 1/7
+    p = extend_primes(inst, root(inst), frozenset({3}))
+    q, _ = extend_ssgp(inst, p, inst.make([F(1, 3)], [], [0]))
+    return p, q
+
+
+def test_leq_certifies_capture_steps(inst):
+    p, q = _worked_capture(inst)
+    assert leq(inst, q, p).ok()
+    p2 = extend_to_level(inst, root(inst), 2)
+    q2, _ = extend_ssgp(inst, p2, inst.make([F(1, 3)], [], [1]))
+    assert leq(inst, q2, p2).ok()
+    # captures compose: the second one's order check sees the first one's
+    # atoms as covered by p
+    q3, _ = extend_ssgp(inst, q2, inst.make([F(-1, 2)], [], [0]))
+    assert leq(inst, q3, q2).ok()
+
+
+def test_leq_iii_sub_rejects_part_meeting_qpi_outside_lattice(inst):
+    # swap the part 1/7 for 1/3: <1/3> lies in Q_{3}, and 1/3 is not in Z
+    p, q = _worked_capture(inst)
+    third = inst.make([F(1, 3)], [], [0])
+    atoms = [
+        make_atom(inst, a.base, (third,), a.mod) if a.gens and a.gens[0].q == (F(-1, 7),) else a
+        for a in q.u[0].atoms
+    ]
+    bad = _with_level(q, 0, SymSet(atoms, q.u[0].sums))
+    assert any(a.gens and a.gens[0].q == (F(-1, 3),) for a in bad.u[0].atoms)
+    assert member(inst, third, bad.u[0]) and not member(inst, third, p.u[0])
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+
+
+def test_leq_iii_sub_rejects_head_with_part_missing(inst):
+    p, q = _worked_capture(inst)
+    atoms = [a for a in q.u[0].atoms if not (a.gens and a.gens[0].q == (F(-1, 7),))]
+    assert len(atoms) == len(q.u[0].atoms) - 1
+    bad = _with_level(q, 0, SymSet(atoms, q.u[0].sums))
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+
+
+def _depth_two_capture(inst):
+    p = extend_to_level(inst, root(inst), 2)
+    q, _ = extend_ssgp(inst, p, inst.make([F(1, 3)], [], [1]))
+    assert p.s == (1, 2, 2)
+    return p, q
+
+
+def test_leq_iii_sub_rejects_sum_part_with_wrong_lattice(inst):
+    # U_1 gains U_2 + U_2 + Z instead of + 2Z: it then holds h - h + 1 = 1,
+    # which lies in Q_pi but not in p's U_1 = 2Z
+    p, q = _depth_two_capture(inst)
+    u1 = union_sets(inst, p.u[1], SymSet((), (SumPart(q.u[2], q.u[2], 1),)))
+    u0 = union_sets(inst, p.u[0], SymSet((), (SumPart(u1, u1, 1),)))
+    bad = Condition(q.pi, q.n, (u0, u1, q.u[2]), q.s)
+    one = inst.make([F(1)], [], [0])
+    assert member(inst, one, u1) and not member(inst, one, p.u[1])
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+
+
+def test_leq_iii_sub_rejects_sum_part_with_wrong_children(inst):
+    # U_0 gains V + V + Z with V = U_1 + (0;1 + 2Z): then 0;1 lies in U_0,
+    # inside Q_pi + H but outside p's U_0 = Z
+    p, q = _depth_two_capture(inst)
+    tor = inst.make([F(0)], [], [1])
+    v = union_sets(inst, q.u[1], symset_from_atoms(inst, [make_atom(inst, tor, (), 2)]))
+    u0 = union_sets(inst, p.u[0], SymSet((), (SumPart(v, v, 1),)))
+    bad = _with_level(q, 0, u0)
+    assert member(inst, tor, u0) and not member(inst, tor, p.u[0])
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+    # children one level too deep are refused as well, though the set they
+    # give is no larger
+    u0 = union_sets(inst, p.u[0], SymSet((), (SumPart(q.u[2], q.u[2], 1),)))
+    assert leq(inst, _with_level(q, 0, u0), p).failures() == ["iii_sub"]
+
+
+def test_leq_iii_sub_rejects_uncovered_atom_below_top_and_sum_at_top(inst):
+    # p: U_0 = Z, U_1 = 2Z over pi = {}; 0;1 lies in Q_pi + H but not in p
+    p = extend_to_level(inst, root(inst), 1)
+    tor = inst.make([F(0)], [], [1])
+    extra = symset_from_atoms(inst, [make_atom(inst, tor, (), 1)])
+    bad = _with_level(p, 0, union_sets(inst, p.u[0], extra))
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+    # a sum part at the top level: 0;1 = 0 + 0;1 in T + T + 2Z
+    t = symset_from_atoms(
+        inst, [make_atom(inst, inst.zero(), (), 2), make_atom(inst, tor, (), 2)]
+    )
+    top = union_sets(inst, p.u[1], SymSet((), (SumPart(t, t, 2),)))
+    bad = _with_level(p, 1, top)
+    assert member(inst, tor, top) and not member(inst, tor, p.u[1])
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
+
+
+def _level_one_capture(inst):
+    p = extend_to_level(inst, root(inst), 1)
+    q, w = extend_ssgp(inst, p, inst.make([F(1, 3)], [], [1]))
+    assert p.s == (1, 2) and len(w.parts) == 3
+    return p, q, w
+
+
+def _rebuilt(inst, p, q, top_atoms):
+    """q with its top level replaced and the levels below re-derived the
+    way extend_ssgp derives them."""
+    levels = [union_sets(inst, p.u[p.n], symset_from_atoms(inst, top_atoms))]
+    for i in range(p.n - 1, -1, -1):
+        grown = sum_sets(inst, levels[0], levels[0], latt=p.s[i])
+        levels.insert(0, union_sets(inst, p.u[i], grown))
+    return Condition(q.pi, q.n, tuple(levels), q.s)
+
+
+def test_leq_iii_sub_rejects_top_atoms_off_the_capture_shape(inst):
+    p, q, w = _level_one_capture(inst)
+    new = [a for a in q.u[1].atoms if a not in p.u[1].atoms]
+    assert _rebuilt(inst, p, q, new).u == q.u
+    g = next(a for a in new if a.gens)
+    rest = [a for a in new if a is not g]
+    gen = g.gens[0]
+    tor = inst.make([F(0)], [], [1])
+    # each variant puts a point of Q_pi + H into U_1 that p's U_1 = 2Z lacks
+    variants = [
+        # lattice Z instead of 2Z: 1 joins
+        (make_atom(inst, g.base, g.gens, 1), inst.make([F(1)], [], [0])),
+        # a generator with an H-part: den*(gen + 0;1) = +-2;1 joins
+        (
+            make_atom(inst, g.base, (inst.add(gen, tor),), g.mod),
+            inst.smul(gen.q[0].denominator, inst.add(gen, tor)),
+        ),
+        # a nonzero base: 0;1 joins
+        (make_atom(inst, tor, g.gens, g.mod), tor),
+    ]
+    for atom, witness in variants:
+        bad = _rebuilt(inst, p, q, rest + [atom])
+        assert member(inst, witness, bad.u[1]) and not member(inst, witness, p.u[1])
+        assert leq(inst, bad, p).failures() == ["iii_sub"]
+
+
+def test_leq_iii_sub_rejects_heads_of_two_classes(inst):
+    # heads h and -h + 0;1 instead of +-h: their sum 0;1 reaches U_0
+    p, q, w = _level_one_capture(inst)
+    tor = inst.make([F(0)], [], [1])
+    neg = inst.neg(w.head)
+    new = [
+        make_atom(inst, inst.add(neg, tor), (), a.mod) if a.base == neg else a
+        for a in q.u[1].atoms
+        if a not in p.u[1].atoms
+    ]
+    bad = _rebuilt(inst, p, q, new)
+    assert member(inst, tor, bad.u[0]) and not member(inst, tor, p.u[0])
+    assert leq(inst, bad, p).failures() == ["iii_sub"]
 
 
 # -- extend_with_avoidance ---------------------------------------------------

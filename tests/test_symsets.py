@@ -1,9 +1,10 @@
 """Symbolic set layer.  Oracles: exhaustive small-box searches for integer
 systems and atom membership, hand-checked goldens for the Q_pi congruence
-tests, and structural-vs-materialized cross-checks for sum parts.
+tests, and an explicit atom-pair decision for structural sum parts.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,14 +20,12 @@ from ssgpkit.symsets import (
     SymSet,
     atom_add,
     atom_contains,
-    cyclic_cap_qpi,
     cyclic_in_set,
     expansion,
     is_symmetric_syntactic,
     lattice_set,
     make_atom,
     member,
-    member_mod_qpi,
     neg_set,
     sample_point,
     snf_solve,
@@ -39,6 +38,8 @@ from ssgpkit.symsets import (
     witness_from_json,
     witness_to_json,
 )
+
+from oracles import cyclic_cap_qpi, member_mod_qpi
 
 
 @pytest.fixture
@@ -227,15 +228,35 @@ def test_member_completeness_property(data):
 # -- sums and unions ---------------------------------------------------------
 
 
+def pair_oracle(inst, x, S, T, latt=0):
+    """x in S + T (+ latt*Z^m) for atom-only S and T, decided pair by pair:
+    a + b + latt*Z^m is the atom with base a.base + b.base, the generators
+    of both, and lattice gcd(a.mod, b.mod, latt)."""
+    assert not S.sums and not T.sums
+    for a in S.atoms:
+        for b in T.atoms:
+            mod = math.gcd(math.gcd(a.mod, b.mod), latt)
+            pair = make_atom(inst, inst.add(a.base, b.base), a.gens + b.gens, mod)
+            if atom_contains(inst, x, pair):
+                return True
+    return False
+
+
 def test_sum_spec_examples(inst1):
     Z = lattice_set(inst1, 1)
-    assert sum_sets(inst1, Z, Z).key() == Z.key()
+    ZZ = sum_sets(inst1, Z, Z)
+    assert not ZZ.atoms and len(ZZ.sums) == 1  # always structural
     a = symset_from_atoms(inst1, [make_atom(inst1, inst1.make([F(1, 3)]), (), 2)])
     b = symset_from_atoms(inst1, [make_atom(inst1, inst1.make([F(1, 5)]), (), 4)])
     got = sum_sets(inst1, a, b)
-    assert len(got.atoms) == 1
-    assert got.atoms[0].base.q == (F(8, 15),)
-    assert got.atoms[0].mod == 2  # gcd(2, 4)
+    # 1/3 + 2Z + 1/5 + 4Z = 8/15 + 2Z
+    assert member(inst1, inst1.make([F(8, 15)]), got)
+    assert member(inst1, inst1.make([F(8, 15) - 2]), got)
+    assert not member(inst1, inst1.make([F(8, 15) + 1]), got)
+    for num in range(-45, 46):
+        x = inst1.make([F(num, 15)])
+        assert member(inst1, x, ZZ) == pair_oracle(inst1, x, Z, Z)
+        assert member(inst1, x, got) == pair_oracle(inst1, x, a, b)
 
 
 def test_sum_sampled_soundness(inst_tor):
@@ -249,24 +270,22 @@ def test_sum_sampled_soundness(inst_tor):
         assert member(inst_tor, inst_tor.add(x, y), total)
 
 
-def test_sum_structural_fallback_matches_materialized(inst1, monkeypatch):
+def test_sum_structural_fallback_matches_materialized(inst1):
     rng = random.Random(5)
     atoms_s = [make_atom(inst1, inst1.make([F(i, 3)]), (), 6) for i in range(1, 8)]
     atoms_t = [make_atom(inst1, inst1.make([F(j, 5)]), (), 10) for j in range(1, 8)]
     S = symset_from_atoms(inst1, atoms_s)
     T = symset_from_atoms(inst1, atoms_t)
-    monkeypatch.setattr(symsets, "SUM_MATERIALIZE_LIMIT", 64)
-    eager = sum_sets(inst1, S, T, 4)
-    assert not eager.sums
-    monkeypatch.setattr(symsets, "SUM_MATERIALIZE_LIMIT", 8)
     lazy = sum_sets(inst1, S, T, 4)
     assert lazy.sums and not lazy.atoms
     for _ in range(40):
         x = sample_point(inst1, lazy, rng, 4)
-        assert member(inst1, x, eager)
+        assert pair_oracle(inst1, x, S, T, 4)
         assert member(inst1, x, lazy)
-    for probe in [inst1.make([F(1, 7)]), inst1.make([F(11, 15)]), inst1.zero()]:
-        assert member(inst1, probe, lazy) == member(inst1, probe, eager)
+    probes = [inst1.make([F(1, 7)]), inst1.make([F(11, 15)]), inst1.zero()]
+    probes += [inst1.make([F(num, 15)]) for num in range(-40, 41)]
+    for probe in probes:
+        assert member(inst1, probe, lazy) == pair_oracle(inst1, probe, S, T, 4)
 
 
 def test_expansion_limit_guard(inst1, monkeypatch):
