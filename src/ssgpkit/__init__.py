@@ -9,10 +9,9 @@ separation stages showing the limit topology is Hausdorff.
 
 from .groups import HSpec, Instance, KElem, WideGroup
 from .symsets import SSGPWitness, SymSet, cyclic_in_set, member
-from .poset import CheckReport, Condition, leq, validate
+from .poset import CheckReport, Condition, check_lemma_iterative, leq, validate
 from .density import (
     DenseRequest,
-    check_lemma_iterative,
     extend_avoid,
     extend_primes,
     extend_ssgp,

@@ -1,6 +1,6 @@
 """Exact rational arithmetic: primes, p-adic valuations, and the localized
 subgroups Q_pi of rationals whose reduced denominators factor over a fixed
-finite prime set pi.
+finite prime set pi.  Z lies in every Q_pi, and Q_{} = Z.
 
 Rationals are ``fractions.Fraction`` throughout (always reduced, positive
 denominator), vectors are tuples of them.
@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rat = Fraction
 QVec = tuple[Fraction, ...]
 PrimeSet = frozenset[int]
 
@@ -114,47 +113,21 @@ def _coords(x) -> tuple[Fraction, ...]:
 
 
 def qpi_member(x, pi: Iterable[int]) -> bool:
-    """Whether x lies in Q_pi (coordinatewise).
-
-    Q_pi for nonempty pi is the subgroup of rationals whose reduced
-    denominator has all its prime divisors in pi.  For pi = {} this adopts
-    the degenerate convention Q_{} = {0}: membership means x = 0.  The
-    integral reading of the empty case lives in ``qpi_or_integral``.
-    """
-    coords = _coords(x)
+    """Whether x lies in Q_pi (coordinatewise): every reduced denominator
+    has all its prime divisors in pi.  At pi = {} this is x in Z^m."""
     ps = frozenset(pi)
-    if not ps:
-        return all(q == 0 for q in coords)
-    return all(denom_support(q) <= ps for q in coords)
-
-
-def is_integral(x) -> bool:
-    """Whether every coordinate has denominator 1."""
-    return all(q.denominator == 1 for q in _coords(x))
-
-
-def qpi_or_integral(x, pi: Iterable[int]) -> bool:
-    """Membership in Q_pi under the reading that keeps Z inside Q_pi for
-    every pi, including pi = {}.
-
-    The level-tower conditions need Z^m <= Q_pi^m for all pi (their base
-    stage is Z^m with an empty prime set), which the strict {0} convention
-    would deny; the two predicates differ only at pi = {}.
-    """
-    return qpi_member(x, pi) or is_integral(x)
+    return all(denom_support(q) <= ps for q in _coords(x))
 
 
 def cap_multiplier(g, pi: Iterable[int]) -> int:
-    """Least D >= 0 with <g> intersect Q_pi^m = Z*(D*g).
+    """Least D >= 1 with <g> intersect Q_pi^m = Z*(D*g).
 
-    For nonempty pi (or g = 0) this is the product over primes p outside pi
-    of p**max_i(-v_p(g_i)); n*g lands in Q_pi^m exactly when D | n.  Under
-    the Q_{} = {0} convention a nonzero g gets D = 0, making Z*(D*g) = {0}.
+    D is the product over primes p outside pi of p**max_i(-v_p(g_i)), so
+    n*g lands in Q_pi^m exactly when D | n.  At pi = {} it is the lcm of
+    the denominators of g.
     """
     coords = _coords(g)
     ps = frozenset(pi)
-    if not ps and any(q != 0 for q in coords):
-        return 0
     D = 1
     for p in sorted(vec_support(coords) - ps):
         e = max(max(0, -valuation(p, q)) for q in coords)

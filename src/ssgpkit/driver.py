@@ -325,20 +325,35 @@ def chain_checks(chain: FilterChain) -> Iterator[tuple[str, str, CheckReport]]:
 
 
 def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
-    if obj.get("format") != CHAIN_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != CHAIN_FORMAT:
         raise ChainFormatError(f"not a {CHAIN_FORMAT} file")
     if obj.get("version") != CHAIN_VERSION:
         raise ChainFormatError(f"unsupported version {obj.get('version')!r}")
-    inst = Instance.from_json(obj["instance"])
-    # One intern table per file: equal levels and sum-part children across
-    # conditions become one object, so their caches fill once.
-    table: dict = {}
-    conditions = [Condition.from_json(inst, c, table) for c in obj["conditions"]]
-    met = [MetRequest.from_json(inst, e) for e in obj["met"]]
+    # Every way a parser below rejects a malformed field (a missing key, a
+    # value of the wrong type, a number that does not parse, a modulus or
+    # torsion order out of range, a zero denominator) becomes one error.
+    try:
+        inst = Instance.from_json(obj["instance"])
+        # One intern table per file: equal levels and sum-part children
+        # across conditions become one object, so their caches fill once.
+        table: dict = {}
+        conditions = [Condition.from_json(inst, c, table) for c in obj["conditions"]]
+        met = [MetRequest.from_json(inst, e) for e in obj["met"]]
+        seed = int(obj["rng_seed"])
+        budget = int(obj["sample_budget"])
+    except KeyError as e:
+        raise ChainFormatError(f"missing field {e}") from e
+    except ZeroDivisionError as e:
+        raise ChainFormatError(f"zero denominator: {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ChainFormatError(f"malformed field: {e}") from e
     if not conditions:
         raise ChainFormatError("empty chain")
-    seed = int(obj["rng_seed"])
-    budget = int(obj["sample_budget"])
+    for e in met:
+        if not 0 <= e.index < len(conditions):
+            raise ChainFormatError(
+                f"met request names condition {e.index}, outside 0..{len(conditions) - 1}"
+            )
     chain = FilterChain(inst, conditions, met, seed, budget)
     if revalidate:
         for _, label, rep in chain_checks(chain):

@@ -237,21 +237,12 @@ class Instance:
             tuple((-a) % d for a, d in zip(x.tor, self.h.torsion_orders)),
         )
 
-    def sub(self, x: KElem, y: KElem) -> KElem:
-        return self.add(x, self.neg(y))
-
     def smul(self, n: int, x: KElem) -> KElem:
         return KElem(
             tuple(n * a for a in x.q),
             tuple(n * a for a in x.free),
             tuple((n * a) % d for a, d in zip(x.tor, self.h.torsion_orders)),
         )
-
-    def sum(self, xs) -> KElem:
-        acc = self.zero()
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
 
     # -- enumeration ---------------------------------------------------------
 

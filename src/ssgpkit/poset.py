@@ -1,7 +1,9 @@
 """Conditions of the forcing-style poset: a finite prime set, a tower of
 symbolic sets U_0 >= ... >= U_n with lattice scales s_0 | ... | s_n, the
-structural validator, the order checker, and the one-step extension that
-appends a shrunken pure-lattice level avoiding a given element.
+structural validator, the order checker with the span-lemma check it runs
+on every capture step, and the one-step extension that appends a shrunken
+pure-lattice level avoiding a given element.  Q_pi is the group of
+rationals whose denominators factor over pi, so Q_{} = Z.
 
 Every check is exact.  The validator's semantic inclusions (level sums,
 nesting, the base lattice in each level) and both halves of the order's
@@ -16,7 +18,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .arith import PrimeSet, is_prime, qpi_or_integral, vec_support
+from .arith import (
+    PrimeSet,
+    QVec,
+    cap_multiplier,
+    is_prime,
+    prime_set,
+    qpi_member,
+    valuation,
+    vec_support,
+)
 from .groups import Instance, KElem
 from .symsets import (
     Atom,
@@ -97,13 +108,13 @@ def _walk_atoms(S: SymSet, seen: Optional[set] = None) -> Iterator[Atom]:
 
 def _atoms_in_ambient(inst: Instance, S: SymSet, pi: PrimeSet) -> bool:
     """Syntactic (4_p) core: all reachable atom data lies in
-    (G cap Q_pi^m) + H.  Q_pi is read as containing Z^m at pi = {} since
-    the base level of every tower is Z^m itself."""
+    (G cap Q_pi^m) + H.  Z^m lies in every Q_pi^m, so the base level Z^m of
+    every tower passes at pi = {}."""
     for a in _walk_atoms(S):
         for x in (a.base, *a.gens):
             if not inst.group.contains_vec(x.q):
                 return False
-            if not qpi_or_integral(x.q, pi):
+            if not qpi_member(x.q, pi):
                 return False
     return True
 
@@ -217,9 +228,69 @@ def validate(
     return r
 
 
+def check_lemma_iterative(
+    pis: list[PrimeSet], gs: list[QVec], s: int, head: Optional[QVec]
+) -> CheckReport:
+    """Decide the span properties the capture step relies on, exactly.
+
+    pis = [pi_0, ..., pi_k], gs = [g_1, ..., g_k], and head is the rational
+    part g_0 of the capture head (None when there is none).  Q_{} = Z, so
+    pi_0 = {} means Z.
+
+    A_i: g_j lies in Q_{pi_j}^m.
+    A_ii: D_j*g_j lies in s*Z^m, where D_j*g_j generates
+    <g_j> cap Q_{pi_{j-1}}^m: D_j = cap_multiplier(g_j, pi_{j-1}).
+    B: for each part t, some denominator prime r of g_0 lies outside pi_0
+    and outside the supports of the other parts, and no l*g_0 with
+    0 < |l| <= k clears it, which holds iff r**e > k for e the largest
+    power of r in a denominator of g_0.
+
+    What they give, for integers c_j and l with 0 <= |l| <= k: if
+    l*g_0 + sum c_j*g_j lies in Q_{pi_0}^m and some part t has c_t = 0,
+    then l = 0 (B: the r-adic valuation of the sum is that of l*g_0, which
+    is negative); and if sum c_j*g_j lies in Q_{pi_0}^m then every c_j*g_j
+    lies in s*Z^m (A, descending from the largest j with c_j != 0: the
+    earlier terms lie in Q_{pi_{j-1}}^m by A_i, so D_j | c_j).
+    """
+    k = len(gs)
+    if len(pis) != k + 1:
+        raise ValueError("need k+1 prime sets for k elements")
+    if s == 0:
+        raise ValueError("need a nonzero scale")
+    m = len(gs[0]) if gs else len(head or ())
+    if any(len(gj) != m for gj in gs) or (head is not None and len(head) != m):
+        raise ValueError("mixed vector lengths")
+    pis = [prime_set(p) for p in pis]
+    if any(not (a <= b) for a, b in zip(pis, pis[1:])):
+        raise ValueError("prime sets must be increasing")
+
+    ok_ai = all(qpi_member(gj, pi) for gj, pi in zip(gs, pis[1:]))
+    ok_aii = True
+    for gj, prev in zip(gs, pis):
+        D = cap_multiplier(gj, prev)
+        if any((D * c / s).denominator != 1 for c in gj):
+            ok_aii = False
+
+    ok_b = True
+    if head is not None:
+        deep = set()
+        for r in vec_support(head) - pis[0]:
+            e = max(max(0, -valuation(r, c)) for c in head)
+            if r**e > k:
+                deep.add(r)
+        supps = [vec_support(gj) for gj in gs]
+        for t in range(k):
+            others = set().union(*(sp for j, sp in enumerate(supps) if j != t))
+            if not deep - others:
+                ok_b = False
+    return CheckReport({"A_i": ok_ai, "A_ii": ok_aii, "B": ok_b})
+
+
 def _capture_certificate(inst: Instance, q: Condition, p: Condition) -> bool:
     """Certificate for q.u[i] cap (Q_pi^m + H) subset p.u[i] at every
-    shared level i, with pi = p.pi read with Z^m inside it; see leq."""
+    shared level i, with pi = p.pi; see leq."""
+    if not all(is_prime(r) for r in p.pi):
+        return False
     n = p.n
     heads: list[KElem] = []
     parts: list[KElem] = []
@@ -253,9 +324,6 @@ def _capture_certificate(inst: Instance, q: Condition, p: Condition) -> bool:
     pis = [p.pi]
     for g in parts:
         pis.append(pis[-1] | vec_support(g.q))
-    # density builds on this module, so its lemma check is imported here
-    from .density import check_lemma_iterative
-
     gs = [g.q for g in parts]
     g0 = None if head is None else head.q
     return check_lemma_iterative(pis, gs, p.s[n], g0).ok()
@@ -275,9 +343,8 @@ def leq(
     each p.u[i] is a syntactic subset of q.u[i] (the constructions copy or
     union, never rewrite).  iii_sub: what q.u[i] adds over p.u[i] has the
     shape a capture step leaves, and its parts and head pass
-    density.check_lemma_iterative.  With n = p.n, s = p.s[n], pi_0 = p.pi
-    read with Z^m inside it (qpi_or_integral), the items of q.u[i] that no
-    item of p.u[i] syntactically covers must be:
+    check_lemma_iterative.  With n = p.n, s = p.s[n] and pi_0 = p.pi, the
+    items of q.u[i] that no item of p.u[i] syntactically covers must be:
       at i = n, head atoms h' + mod*Z^m with h' in {h, -h} for one h and
       part atoms 0 + Z*g_j + mod*Z^m with g_j of zero H-part, s | mod;
       at i < n, sum parts q.u[i+1] + q.u[i+1] + latt*Z^m with s_i | latt.
@@ -286,7 +353,8 @@ def leq(
     part g_0.
 
     Soundness, assuming p passes validate (every caller checks that
-    first).  Unfold an element x of q.u[i] into a tree: a node at level j
+    first; a p.pi that is not a set of primes fails iii_sub instead of
+    raising).  Unfold an element x of q.u[i] into a tree: a node at level j
     is a piece of p.u[j] (a covered item), or at level n a head or part
     element, or below n an uncovered sum a + b + latt*z of two nodes one
     level up.  There are at most 2^(n-i) head and part leaves.  Replace
@@ -298,9 +366,9 @@ def leq(
     Q_{pi_0}^m.  If l != 0, some leaf is a head, so at most 2^n - 1 < k
     leaves are parts and some part is unused: B forces l = 0.  A then puts
     every c_j*g_j in s*Z^m, so x - x' lies in s_i*Z^m with zero H-part,
-    and by 6p p.u[i] + s_i*Z^m = p.u[i] holds x.  This proves a stronger
-    inclusion than the Q_{} = {0} convention asks for at p.pi = {}, which
-    the argument needs there: the first capture of every chain is one.
+    and by 6p p.u[i] + s_i*Z^m = p.u[i] holds x.  At p.pi = {} this reads
+    Q_{} = Z, which the first capture of every chain needs: its parts and
+    head are checked modulo Z^m.
 
     Nothing is sampled, so sample_budget and rng_seed are ignored; they
     stay in the signature because existing callers, perfbench/pipeline.py
@@ -328,7 +396,7 @@ def extend_with_avoidance(inst: Instance, p: Condition, x: KElem) -> Condition:
         raise ValueError("cannot avoid 0: every level contains it")
     if not inst.group.contains_vec(x.q):
         raise ValueError("element's rational part lies outside G")
-    if not qpi_or_integral(x.q, p.pi):
+    if not qpi_member(x.q, p.pi):
         raise ValueError("element's rational part lies outside Q_pi^m")
 
     sn = p.s[p.n]

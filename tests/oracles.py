@@ -14,8 +14,8 @@ from ssgpkit.symsets import snf_solve
 
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
     """Generator of <g> cap Q_pi^m, namely D*g with D the product of
-    outside-pi prime powers clearing the denominators; D = 0 (zero
-    generator) for pi = {} and g != 0 under the Q_{} = {0} convention."""
+    outside-pi prime powers clearing the denominators (at pi = {}, all of
+    them: Q_{} = Z)."""
     D = cap_multiplier(g, pi)
     return tuple(D * c for c in g)
 
@@ -35,28 +35,13 @@ def member_mod_qpi(x: QVec, gens: Sequence[QVec], pi: PrimeSet) -> bool:
     Only valuations at primes outside pi constrain anything.  Clearing all
     outside-pi denominator content by one multiplier M turns the condition
     into a linear congruence system modulo M; inside-pi denominators are
-    units modulo M and are cleared per row.  For pi = {} the convention
-    Q_{} = {0} makes this exact integer-span membership.
+    units modulo M and are cleared per row.  At pi = {} this decides
+    x in span + Z^m, since Q_{} = Z.
     """
     m = len(x)
     if any(len(g) != m for g in gens):
         raise ValueError("generator length mismatch")
     pi = frozenset(pi)
-
-    if not pi:
-        # Q_{} = {0}: x must equal an exact integer combination.
-        if not gens:
-            return all(c == 0 for c in x)
-        rows = []
-        rhs = []
-        for i in range(m):
-            denlcm = x[i].denominator
-            for g in gens:
-                denlcm = denlcm * g[i].denominator // math.gcd(denlcm, g[i].denominator)
-            rows.append([int(g[i] * denlcm) for g in gens])
-            rhs.append(int(x[i] * denlcm))
-        return snf_solve(rows, rhs) is not None
-
     outside = vec_support(x) - pi
     for g in gens:
         outside |= vec_support(g) - pi

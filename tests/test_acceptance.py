@@ -56,7 +56,7 @@ def built():
 def brute_member(inst, x, atom, box=15):
     """Vectorized exhaustive oracle over the coefficient box."""
     r = len(atom.gens)
-    t = inst.sub(x, atom.base)
+    t = inst.add(x, inst.neg(atom.base))
     dens = [c.denominator for c in t.q]
     for g in atom.gens:
         dens.extend(c.denominator for c in g.q)
@@ -213,7 +213,7 @@ def test_criterion_4_poset_soundness(built):
     target = None
     for i, S in enumerate(deep.u):
         for a in S.atoms:
-            if inst.sub(inst.zero(), a.base) != a.base:
+            if inst.neg(a.base) != a.base:
                 target = (i, a)
                 break
         if target:

@@ -312,6 +312,69 @@ def test_verify_malformed_condition_is_chain_error(workdir, tmp_path, capsys, fi
     assert last.startswith("chain error: condition 1 fails")
 
 
+def test_verify_non_prime_pi_is_a_failed_check(workdir, tmp_path, capsys):
+    # a prime set holding 4 fails 1p of its condition and iii_sub of the
+    # order step above it, and the report still comes out
+    obj = json.loads((workdir / "chain.json").read_text())
+    obj["conditions"][1]["pi"] = [4]
+    bad = tmp_path / "composite.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--chain", str(bad)])
+    assert rc == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert "chain error" not in captured.err
+    rep = json.loads(captured.out)
+    assert rep["failures"]["condition_01"] == ["1p"]
+    assert "iii_sub" in rep["failures"]["order_02"]
+
+
+def _drop(key):
+    def mutate(obj):
+        del obj[key]
+    return mutate
+
+
+def _set(path, value):
+    def mutate(obj):
+        node = obj
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+    return mutate
+
+
+MALFORMED = [
+    ("no instance", _drop("instance"), "missing field 'instance'"),
+    ("no met", _drop("met"), "missing field 'met'"),
+    ("scale not a number", _set(["conditions", 1, "s"], "x"), "malformed field"),
+    ("seed not a number", _set(["rng_seed"], "abc"), "malformed field"),
+    ("atom modulus 0", _set(["conditions", 0, "u", 0, "atoms", 0, "mod"], 0), "malformed field"),
+    ("zero denominator", _set(["conditions", 0, "u", 0, "atoms", 0, "base", "q", 0], "1/0"),
+     "zero denominator"),
+    ("torsion order 1", _set(["instance", "h", "torsion_orders"], [1]), "malformed field"),
+    ("met index out of range", _set(["met", 0, "index"], 999), "condition 999"),
+    ("kind level", _set(["met", 0, "request", "kind"], "level"), "kind 'level'"),
+    ("kind primes", _set(["met", 0, "request", "kind"], "primes"), "kind 'primes'"),
+    ("kind bogus", _set(["met", 0, "request", "kind"], "bogus"), "kind 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("mutate, expect", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_verify_malformed_file_is_one_chain_error(workdir, tmp_path, capsys, mutate, expect):
+    obj = json.loads((workdir / "chain.json").read_text())
+    mutate(obj)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["verify", "--chain", str(bad)])
+    assert rc == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chain error:"), lines
+    assert expect in lines[0]
+
+
 def test_verify_corrupt_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("garbage{")

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from ssgpkit.arith import qpi_member, vec_support
 from ssgpkit.density import (
     DenseRequest,
-    check_lemma_iterative,
     extend_avoid,
     extend_primes,
     extend_ssgp,
     extend_to_level,
 )
 from ssgpkit.groups import HSpec, Instance, WideGroup, find_g_sequence
-from ssgpkit.poset import leq, root, validate
+from ssgpkit.poset import check_lemma_iterative, leq, root, validate
 from ssgpkit.symsets import cyclic_in_set, member
 
 from oracles import member_mod_qpi
@@ -237,12 +236,16 @@ def test_extend_avoid_rejects_zero(inst):
 
 
 def test_request_validation(inst):
+    x = inst.make([F(1, 2)], [], [1])
+    for kind in ("bogus", "level", "primes"):
+        with pytest.raises(ValueError, match="unknown request kind"):
+            DenseRequest(kind, elem=x)
     with pytest.raises(ValueError):
-        DenseRequest("bogus")
-    with pytest.raises(ValueError):
-        DenseRequest("level", level=-1)
+        DenseRequest("ssgp", level=-1, elem=x)
     with pytest.raises(ValueError):
         DenseRequest("avoid", elem=None)
+    with pytest.raises(ValueError):
+        DenseRequest("ssgp", elem=None)
     with pytest.raises(ValueError):
         DenseRequest("avoid", elem=inst.zero())
     DenseRequest("ssgp", elem=inst.zero())  # zero capture is fine
@@ -250,13 +253,16 @@ def test_request_validation(inst):
 
 def test_request_json_round_trip(inst):
     reqs = [
-        DenseRequest("level", level=3),
-        DenseRequest("primes", primes=frozenset({3, 5})),
         DenseRequest("avoid", elem=inst.make([F(1, 2)], [], [1])),
         DenseRequest("ssgp", elem=inst.make([F(1, 3)], [], [0])),
+        DenseRequest("ssgp", level=2, elem=inst.make([F(-1, 3)], [], [1])),
     ]
     for r in reqs:
         assert DenseRequest.from_json(inst, r.to_json()) == r
+    for kind in ("bogus", "level", "primes"):
+        obj = dict(reqs[0].to_json(), kind=kind)
+        with pytest.raises(ValueError, match=f"unknown request kind '{kind}'"):
+            DenseRequest.from_json(inst, obj)
 
 
 # -- span-property check ----------------------------------------------------
@@ -323,7 +329,7 @@ def test_lemma_check_flags_captured_head():
 
 
 def test_lemma_check_reads_empty_pi_as_integers():
-    # at pi_0 = {} the integral reading caps <1/5> at 5*(1/5) = 1, which
+    # at pi_0 = {} (Q_{} = Z) <1/5> is capped at 5*(1/5) = 1, which
     # lies in 2Z only if it is doubled: A_ii fails for s = 2, holds for 1
     gs = [(F(1, 5),)]
     pis = [frozenset(), frozenset({5})]
@@ -396,8 +402,10 @@ def b_refuted_by_oracle(pi0, gs, head):
 def test_lemma_b_never_passes_where_the_oracle_finds_a_span():
     # the valuation test of B is sufficient: wherever it passes, no small
     # multiple of the head lies in the span of a proper subset of the parts
-    # modulo Q_{pi_0}; checked on generated captures with nonempty pi_0 and
-    # on hand-made heads, several of which a span captures
+    # modulo Q_{pi_0}; checked on generated captures with nonempty pi_0,
+    # on generated captures with pi_0 = {} (the first capture of every
+    # chain, where Q_{} = Z) and on hand-made heads, several of which a span
+    # captures
     rng = random.Random(41)
     cases = []
     for _ in range(12):
@@ -408,6 +416,23 @@ def test_lemma_b_never_passes_where_the_oracle_finds_a_span():
         coords = [F(0), F(1)] + [F(1, p) for p in sorted(pi0)]
         g = tuple(rng.choice(coords) for _ in range(m))
         cases.append((pi0, gs, head_of(g, gs)))
+    for _ in range(6):
+        m = rng.randint(1, 2)
+        k = rng.choice([2, 3])
+        pis, gs = find_g_sequence(WideGroup(m, "full"), frozenset(), k, rng.randint(1, 3))
+        g = tuple(rng.choice([F(0), F(1)]) for _ in range(m))
+        cases.append((frozenset(), gs, head_of(g, gs)))
+    gs = [(F(1, 5),), (F(1, 7),)]
+    for head in [
+        (F(-1, 35),),  # both primes, one each: B holds
+        (F(1, 3),),  # 3 is in no part: B holds
+        (F(6, 5),),  # 1/5 + 1, in <g_1> + Z
+    ]:
+        cases.append((frozenset(), gs, head))
+    # (1/5, 1) lies in <g_1> + Z^2 though not in <g_1> itself
+    cases.append(
+        (frozenset(), [(F(1, 5), F(0)), (F(1, 7), F(0))], (F(1, 5), F(1)))
+    )
     pi0 = frozenset({3})
     gs = [(F(1, 5),), (F(1, 7),)]
     for head in [
@@ -421,6 +446,7 @@ def test_lemma_b_never_passes_where_the_oracle_finds_a_span():
     ]:
         cases.append((pi0, gs, head))
     passed = refuted = 0
+    empty = {"passed": 0, "refuted": 0}
     for pi0, gs, head in cases:
         pis = [pi0]
         for gj in gs:
@@ -430,4 +456,8 @@ def test_lemma_b_never_passes_where_the_oracle_finds_a_span():
         assert not (b and hit), (pi0, gs, head)
         passed += b
         refuted += hit
+        if not pi0:
+            empty["passed"] += b
+            empty["refuted"] += hit
     assert passed >= 12 and refuted >= 3
+    assert empty["passed"] >= 6 and empty["refuted"] >= 2, empty

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from ssgpkit.arith import qpi_member
+from ssgpkit.arith import cap_multiplier, qpi_member
 from ssgpkit.groups import (
     ConstructionError,
     HSpec,
@@ -91,7 +91,7 @@ def test_arithmetic_and_torsion_reduction(inst):
     assert s.tor == (0,)  # 1 + 1 reduced mod 2
     assert inst.neg(x).tor == (1,)  # -1 = 1 mod 2
     assert inst.smul(3, x) == inst.make([F(3, 2)], [], [1])
-    assert inst.sub(x, x).is_zero()
+    assert inst.add(x, inst.neg(x)).is_zero()
 
 
 @given(
@@ -221,13 +221,16 @@ def test_find_g_postconditions_brute():
             assert x % 2 == 0
 
 
-def test_find_g_empty_pi_vacuous():
-    # Q_{} = {0}: the cyclic intersection is {0}, inside sZ trivially.
-    G = WideGroup(1, "full")
-    g = find_g(G, frozenset(), 3, 5)
-    for l in range(-3, 4):
-        if l:
-            assert not qpi_member((l * g[0],), frozenset())
+def test_find_g_empty_pi_caps_inside_sZ():
+    # Q_{} = Z: <g> meets Z^m in Z*(D*g) with D != 0, and D*g lies in sZ^m
+    for m, k, s in [(1, 3, 5), (2, 2, 6), (1, 1, 1)]:
+        g = find_g(WideGroup(m, "full"), frozenset(), k, s)
+        D = cap_multiplier(g, frozenset())
+        assert D != 0
+        assert all((D * c / s).denominator == 1 for c in g)
+        for l in range(-k, k + 1):
+            if l:
+                assert not qpi_member(tuple(l * c for c in g), frozenset())
 
 
 def test_find_g_multidim():
