@@ -22,6 +22,7 @@ from .groups import (
     KElem,
     elem_to_json,
     find_g_sequence,
+    json_int,
 )
 from .poset import Condition, extend_with_avoidance
 from .symsets import (
@@ -73,7 +74,9 @@ class DenseRequest:
             return DenseRequest(kind, elem=inst.elem_from_json(obj["elem"]))
         if kind == KIND_SSGP:
             return DenseRequest(
-                kind, level=int(obj.get("level", 0)), elem=inst.elem_from_json(obj["elem"])
+                kind,
+                level=json_int(obj.get("level", 0), "level"),
+                elem=inst.elem_from_json(obj["elem"]),
             )
         raise ValueError(f"unknown request kind {kind!r}")
 

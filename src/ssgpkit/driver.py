@@ -32,7 +32,7 @@ from .density import (
     extend_ssgp,
     extend_to_level,
 )
-from .groups import Instance, KElem
+from .groups import Instance, KElem, json_int
 from .poset import (
     CheckReport,
     Condition,
@@ -92,10 +92,10 @@ class MetRequest:
         w = obj.get("witness")
         lv = obj.get("level")
         return MetRequest(
-            int(obj["index"]),
+            json_int(obj["index"], "index"),
             DenseRequest.from_json(inst, obj["request"]),
             None if w is None else witness_from_json(inst, w),
-            None if lv is None else int(lv),
+            None if lv is None else json_int(lv, "level"),
         )
 
 
@@ -339,8 +339,8 @@ def chain_from_json(obj: dict, revalidate: bool = True) -> FilterChain:
         table: dict = {}
         conditions = [Condition.from_json(inst, c, table) for c in obj["conditions"]]
         met = [MetRequest.from_json(inst, e) for e in obj["met"]]
-        seed = int(obj["rng_seed"])
-        budget = int(obj["sample_budget"])
+        seed = json_int(obj["rng_seed"], "rng_seed")
+        budget = json_int(obj["sample_budget"], "sample_budget")
     except KeyError as e:
         raise ChainFormatError(f"missing field {e}") from e
     except ZeroDivisionError as e:

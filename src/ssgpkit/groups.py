@@ -51,7 +51,10 @@ class HSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "HSpec":
-        return HSpec(int(obj["free_rank"]), tuple(obj["torsion_orders"]))
+        return HSpec(
+            json_int(obj["free_rank"], "free_rank"),
+            json_ints(obj["torsion_orders"], "torsion_orders"),
+        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,21 @@ def _fr_str(x: Fraction) -> str:
 
 def _fr_parse(s: str) -> Fraction:
     return Fraction(s)
+
+
+def json_int(value, field: str) -> int:
+    """An integer field of a chain file, taken as it was written: a JSON
+    integer, never a bool, float or string that int() would coerce."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(value, field: str) -> tuple[int, ...]:
+    """A list-of-integers field of a chain file (see json_int)."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a list of integers, got {value!r}")
+    return tuple(json_int(v, field) for v in value)
 
 
 def elem_to_json(x: KElem) -> dict:
@@ -156,9 +174,10 @@ class WideGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "WideGroup":
+        m = json_int(obj["m"], "m")
         if obj["kind"] == "full":
-            return WideGroup(int(obj["m"]), "full")
-        return WideGroup(int(obj["m"]), "residue", int(obj["r"]), int(obj["mod"]))
+            return WideGroup(m, "full")
+        return WideGroup(m, "residue", json_int(obj["r"], "r"), json_int(obj["mod"], "mod"))
 
 
 def _rats_of_height_at_most(h: int) -> list[Fraction]:
@@ -327,10 +346,13 @@ class Instance:
         return self.make(q, hvals[: self.h.free_rank], hvals[self.h.free_rank :])
 
     def elem_from_json(self, obj: dict) -> KElem:
+        q = obj["q"]
+        if not isinstance(q, list) or not all(type(s) is str for s in q):
+            raise TypeError(f"q must be a list of rationals written as strings, got {q!r}")
         x = self.make(
-            tuple(_fr_parse(s) for s in obj["q"]),
-            tuple(obj.get("free", ())),
-            tuple(obj.get("tor", ())),
+            tuple(_fr_parse(s) for s in q),
+            json_ints(obj.get("free", []), "free"),
+            json_ints(obj.get("tor", []), "tor"),
         )
         if not self.group.contains_vec(x.q):
             raise ValueError("rational part lies outside the configured group G")

@@ -28,7 +28,7 @@ from .arith import (
     valuation,
     vec_support,
 )
-from .groups import Instance, KElem
+from .groups import Instance, KElem, json_int, json_ints
 from .symsets import (
     Atom,
     SymSet,
@@ -64,10 +64,10 @@ class Condition:
         """Parse one condition; levels are hash-consed through table (see
         symset_from_json)."""
         return Condition(
-            frozenset(int(p) for p in obj["pi"]),
-            int(obj["n"]),
+            frozenset(json_ints(obj["pi"], "pi")),
+            json_int(obj["n"], "n"),
             tuple(symset_from_json(inst, S, table) for S in obj["u"]),
-            tuple(int(x) for x in obj["s"]),
+            json_ints(obj["s"], "s"),
         )
 
 

@@ -5,13 +5,17 @@ together with structural sum parts  left + right + latt*Z^m  kept unexpanded.
 Sums are always structural, because the level-tower construction squares
 set sizes per level: materializing every pairwise atom sum across a whole
 chain is exponential in tower height, while membership only ever needs the
-pairwise sums of the (much smaller) child sets, searched lazily with a
-denominator-support prune.  Membership stays exact: the prune is a
-necessary condition, never a filter on correctness.
+pairwise sums of the (much smaller) child sets.
 
 Atom membership reduces to integer feasibility of one linear system (gen
 coefficients, lattice vector, torsion slacks), solved by exact diagonal
-reduction of the integer matrix.
+reduction of the integer matrix.  Sum-part membership never builds a pair
+atom: x lies in a + b + latt*Z^m exactly when x - a.base and b.base fall in
+one coset of the pair's lattice, and coset representatives come from an
+echelon basis of that lattice (Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.4), so one hash lookup decides a whole class of right
+atoms.  Both steps are exact; the denominator-support prune in front of
+them is a necessary condition, never a filter on correctness.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .arith import PrimeSet, vec_support
-from .groups import Instance, KElem, elem_to_json
+from .groups import Instance, KElem, elem_to_json, json_int
 
 EXPAND_LIMIT = 500_000  # hard cap on lazy expansion size
 
@@ -119,7 +123,7 @@ def atom_subsumes(a: Atom, b: Atom) -> bool:
 class SumPart:
     """left + right + latt*Z^m, unexpanded; latt = 0 means no lattice term."""
 
-    __slots__ = ("left", "right", "latt", "_key")
+    __slots__ = ("left", "right", "latt", "_key", "_index")
 
     def __init__(self, left: "SymSet", right: "SymSet", latt: int):
         if latt < 0:
@@ -128,6 +132,7 @@ class SumPart:
         self.right = right
         self.latt = latt
         self._key = None
+        self._index = None  # _SumIndex, built by the first pair search
 
     def key(self):
         if self._key is None:
@@ -144,7 +149,7 @@ class SumPart:
 class SymSet:
     """Finite union of atoms and sum parts."""
 
-    __slots__ = ("atoms", "sums", "_key", "_hash", "_expanded", "_buckets", "_memo")
+    __slots__ = ("atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric")
 
     def __init__(self, atoms: Sequence[Atom] = (), sums: Sequence[SumPart] = ()):
         self.atoms = tuple(atoms)
@@ -152,8 +157,8 @@ class SymSet:
         self._key = None
         self._hash = None
         self._expanded = None
-        self._buckets = None
         self._memo = {}
+        self._symmetric = None  # is_symmetric_syntactic's verdict, once asked
 
     def key(self):
         if self._key is None:
@@ -315,6 +320,91 @@ def atom_contains(inst: Instance, x: KElem, a: Atom) -> bool:
     return snf_solve(rows, rhs) is not None
 
 
+def _echelon(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """Echelon basis of the row lattice of an integer matrix, as (pivot
+    column, row) pairs: pivot columns strictly increase, each pivot entry
+    is positive, and every row is zero left of its pivot.  Columns the rows
+    do not span get no pivot."""
+    pending = [list(r) for r in rows if any(r)]
+    basis = []
+    for col in range(ncols):
+        live = [r for r in pending if r[col]]
+        pending = [r for r in pending if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            for r in live[1:]:
+                f = r[col] // piv[col]
+                for j in range(col, ncols):
+                    r[j] -= f * piv[j]
+            pending += [r for r in live[1:] if not r[col] and any(r)]
+            live = [piv] + [r for r in live[1:] if r[col]]
+        if live:
+            piv = live[0]
+            if piv[col] < 0:
+                piv = [-v for v in piv]
+            basis.append((col, piv))
+    return basis
+
+
+class _Lattice:
+    """Gamma = span(gens) + mod*Z^m (q-part only) inside K, with its
+    canonical residue map.
+
+    D, the lcm of the generators' denominators, makes D*Gamma's q-part
+    integral.  Then x - y lies in Gamma exactly when D*x.q and D*y.q have
+    equal fractional parts and the integer vectors (floor(D*q), free, tor)
+    differ by an element of the row lattice L spanned by the scaled
+    generators, the rows D*mod*e_i and the torsion rows d_t*e_t: the same
+    system atom_contains solves.  Reducing a vector by an echelon basis of
+    L, each pivot entry into [0, pivot), leaves one representative per
+    coset of L, also when the free columns are not spanned."""
+
+    __slots__ = ("den", "basis")
+
+    def __init__(self, inst: Instance, gens: Sequence[KElem], mod: int):
+        m = inst.m
+        fr = inst.h.free_rank
+        tors = inst.h.torsion_orders
+        den = 1
+        for g in gens:
+            for c in g.q:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+        ncols = m + fr + len(tors)
+        rows = [[int(c * den) for c in g.q] + list(g.free) + list(g.tor) for g in gens]
+        for i in range(m):
+            row = [0] * ncols
+            row[i] = den * mod
+            rows.append(row)
+        for t, d in enumerate(tors):
+            row = [0] * ncols
+            row[m + fr + t] = d
+            rows.append(row)
+        self.den = den
+        self.basis = _echelon(rows, ncols)
+
+    def residue(self, x: KElem) -> tuple:
+        """red_Gamma(x): equal for x and y exactly when x - y is in Gamma.
+        One flat tuple: the reduced fractional part of each D*q_i as
+        (numerator, denominator), then the reduced integer vector."""
+        out = []
+        v = []
+        for c in x.q:
+            num, d = c.numerator * self.den, c.denominator
+            r = num % d
+            g = math.gcd(r, d)
+            out += (r // g, d // g)
+            v.append((num - r) // d)
+        v += x.free
+        v += x.tor
+        for col, row in self.basis:
+            f = v[col] // row[col]
+            if f:
+                for j in range(col, len(v)):
+                    v[j] -= f * row[j]
+        return tuple(out + v)
+
+
 # -- lazy expansion and membership -------------------------------------------
 
 
@@ -361,17 +451,62 @@ def expansion(inst: Instance, S: SymSet) -> list[Atom]:
     return list(S._expanded)
 
 
-def _sum_buckets(inst: Instance, S: SymSet):
-    """Expansion atoms grouped by denominator support, for the pair prune."""
-    if S._buckets is None:
-        buckets: dict[PrimeSet, list[Atom]] = {}
-        for a in expansion(inst, S):
-            buckets.setdefault(a.supp(), []).append(a)
-        S._buckets = buckets
-    return S._buckets
+class _SumIndex:
+    """Lazy lookup tables for one sum part left + right + latt*Z^m.
+
+    The right expansion is grouped by denominator support, then by lattice
+    class (generators, modulus); a class key names its support too.  A
+    left atom a and a right class C meet in the lattice of their pair,
+    Gamma = span(a.gens) + span(C.gens) + gcd(a.mod, C.mod, latt)*Z^m.
+    Each distinct Gamma gets one _Lattice and one table holding, for each
+    class C filed under it, the residue of each base of C with C's key
+    appended (another class filed under the same Gamma may meet a in a
+    smaller lattice, so a residue alone would not do).  A cell maps (a's
+    class, C) to Gamma and is filled, with C's residues, only when a
+    search first reaches it."""
+
+    __slots__ = ("right", "lattices", "cells")
+
+    def __init__(self, inst: Instance, sp: SumPart):
+        right: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
+        for b in expansion(inst, sp.right):
+            cls = (b.supp(), b.key()[1], b.mod)
+            right.setdefault(b.supp(), {}).setdefault(cls, []).append(b)
+        self.right = right
+        # (gen keys, mod) -> (lattice, residue table)
+        self.lattices: dict[tuple, tuple[_Lattice, set]] = {}
+        # left class -> right class -> the same (lattice, residue table)
+        self.cells: dict[tuple, dict] = {}
+
+    def cell(self, inst: Instance, a: Atom, ckey: tuple, batoms: list[Atom], latt: int):
+        """The pair lattice of a and class ckey, and its residue table."""
+        row = self.cells.get((a.key()[1], a.mod))
+        if row is None:
+            row = self.cells[(a.key()[1], a.mod)] = {}
+        hit = row.get(ckey)
+        if hit is None:
+            b = batoms[0]
+            gens = dict(zip(a.key()[1], a.gens))
+            gens.update(zip(b.key()[1], b.gens))
+            lkey = (tuple(sorted(gens)), math.gcd(math.gcd(a.mod, b.mod), latt))
+            hit = self.lattices.get(lkey)
+            if hit is None:
+                hit = self.lattices[lkey] = (_Lattice(inst, tuple(gens.values()), lkey[1]), set())
+            lat, table = hit
+            table.update(lat.residue(c.base) + (ckey,) for c in batoms)
+            row[ckey] = hit
+        return hit
 
 
 def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
+    """Exact x in left + right + latt*Z^m.
+
+    For expansion atoms a of left and b of right, x lies in a + b +
+    latt*Z^m exactly when x - a.base - b.base lies in the pair's lattice
+    Gamma, that is when red(x - a.base) = red(b.base) for the canonical
+    residue red modulo Gamma (_Lattice.residue).  So each left atom costs
+    one residue and one set lookup per right class, not one solve per
+    right atom, and the search is exhaustive over every pair."""
     # Fast path: x = x + 0 (+ latt*0) whenever one side contains x and the
     # other contains 0.
     zero = inst.zero()
@@ -379,24 +514,28 @@ def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
         return True
     if member(inst, zero, sp.left) and member(inst, x, sp.right):
         return True
-    # Exact search over expansion pairs.  Any element of a + b has
-    # denominator support inside supp(a) | supp(b): integer combinations
-    # cannot manufacture new denominator primes.  So only bucket pairs
-    # covering supp(x) need solving.  Atoms whose support sticks out of
-    # supp(x) least go first: queries are overwhelmingly positive, and the
-    # witnessing pair usually lives inside the query's own support.
+    # Any element of a + b has denominator support inside supp(a) |
+    # supp(b): integer combinations cannot manufacture new denominator
+    # primes.  So only right classes covering supp(x) - supp(a) are asked.
+    # Atoms whose support sticks out of supp(x) least go first: queries
+    # are overwhelmingly positive, and the witnessing pair usually lives
+    # inside the query's own support.
+    if sp._index is None:
+        sp._index = _SumIndex(inst, sp)
+    index = sp._index
     xsupp = vec_support(x.q)
-    right = _sum_buckets(inst, sp.right)
     ordered = sorted(
         expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp)
     )
     for la in ordered:
         needed = xsupp - la.supp()
-        for rsupp, batoms in right.items():
+        rest = inst.add(x, inst.neg(la.base))
+        for rsupp, classes in index.right.items():
             if not needed <= rsupp:
                 continue
-            for rb in batoms:
-                if atom_contains(inst, x, atom_add(inst, la, rb, sp.latt)):
+            for ckey, batoms in classes.items():
+                lat, table = index.cell(inst, la, ckey, batoms, sp.latt)
+                if lat.residue(rest) + (ckey,) in table:
                     return True
     return False
 
@@ -515,8 +654,11 @@ def neg_set(inst: Instance, S: SymSet) -> SymSet:
 
 def is_symmetric_syntactic(inst: Instance, S: SymSet) -> bool:
     """-S = S checkable on atom data: each atom's negation is subsumed, each
-    sum part's negation subsumed."""
-    return symset_superset_syntactic(inst, S, neg_set(inst, S))
+    sum part's negation subsumed.  The verdict is kept on S, so conditions
+    sharing an interned set pay for it once."""
+    if S._symmetric is None:
+        S._symmetric = symset_superset_syntactic(inst, S, neg_set(inst, S))
+    return S._symmetric
 
 
 # -- sampling ----------------------------------------------------------------
@@ -613,7 +755,7 @@ def atom_from_json(inst: Instance, obj: dict) -> Atom:
         inst,
         inst.elem_from_json(obj["base"]),
         [inst.elem_from_json(g) for g in obj["gens"]],
-        int(obj["mod"]),
+        json_int(obj["mod"], "mod"),
     )
 
 
@@ -640,7 +782,7 @@ def symset_from_json(inst: Instance, obj: dict, table: dict) -> SymSet:
         SumPart(
             symset_from_json(inst, sp["left"], table),
             symset_from_json(inst, sp["right"], table),
-            int(sp["lattice"]),
+            json_int(sp["lattice"], "lattice"),
         )
         for sp in obj["sums"]
     ]
@@ -660,7 +802,7 @@ def witness_to_json(w: SSGPWitness) -> dict:
 def witness_from_json(inst: Instance, obj: dict) -> SSGPWitness:
     return SSGPWitness(
         inst.elem_from_json(obj["target"]),
-        int(obj["level"]),
+        json_int(obj["level"], "level"),
         inst.elem_from_json(obj["head"]),
         tuple(inst.elem_from_json(g) for g in obj["parts"]),
     )

@@ -8,8 +8,8 @@ import math
 from typing import Sequence
 
 from ssgpkit.arith import PrimeSet, QVec, cap_multiplier, valuation, vec_support
-from ssgpkit.groups import Instance
-from ssgpkit.symsets import snf_solve
+from ssgpkit.groups import Instance, KElem
+from ssgpkit.symsets import SumPart, SymSet, atom_add, atom_contains, expansion, snf_solve
 
 
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
@@ -74,3 +74,34 @@ def member_mod_qpi(x: QVec, gens: Sequence[QVec], pi: PrimeSet) -> bool:
         rows.append(row)
         rhs.append(int(tgt * denlcm) % M)
     return snf_solve(rows, rhs) is not None
+
+
+def _sum_buckets(inst: Instance, S: SymSet) -> dict:
+    """Expansion atoms of S grouped by denominator support."""
+    buckets: dict[PrimeSet, list] = {}
+    for a in expansion(inst, S):
+        buckets.setdefault(a.supp(), []).append(a)
+    return buckets
+
+
+def sumpart_contains_pair_scan(inst: Instance, x: KElem, sp: SumPart) -> bool:
+    """Exact x in left + right + latt*Z^m, pair by pair: each pair atom
+    a + b + latt*Z^m is built with atom_add and its membership system
+    solved by SNF.
+
+    Any element of a + b has denominator support inside supp(a) | supp(b),
+    so only right buckets covering supp(x) - supp(a) are solved.  The scan
+    asks nothing of the library's sum-part search, not even its zero fast
+    paths: it reads only expansion, atom_add and atom_contains."""
+    xsupp = vec_support(x.q)
+    right = _sum_buckets(inst, sp.right)
+    ordered = sorted(expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp))
+    for la in ordered:
+        needed = xsupp - la.supp()
+        for rsupp, batoms in right.items():
+            if not needed <= rsupp:
+                continue
+            for rb in batoms:
+                if atom_contains(inst, x, atom_add(inst, la, rb, sp.latt)):
+                    return True
+    return False

@@ -356,6 +356,30 @@ MALFORMED = [
     ("kind level", _set(["met", 0, "request", "kind"], "level"), "kind 'level'"),
     ("kind primes", _set(["met", 0, "request", "kind"], "primes"), "kind 'primes'"),
     ("kind bogus", _set(["met", 0, "request", "kind"], "bogus"), "kind 'bogus'"),
+    # integer fields take JSON integers only: no digit strings, bools or floats
+    ("scale a digit string", _set(["conditions", 1, "s"], "12"), "s must be a list of integers"),
+    ("scale entry a bool", _set(["conditions", 1, "s"], [1, True]), "s must be an integer"),
+    ("pi a digit string", _set(["conditions", 2, "pi"], "57"), "pi must be a list of integers"),
+    ("n a float", _set(["conditions", 1, "n"], 1.0), "n must be an integer"),
+    ("atom modulus a string", _set(["conditions", 0, "u", 0, "atoms", 0, "mod"], "1"),
+     "mod must be an integer"),
+    ("sum lattice a bool", _set(["conditions", 2, "u", 0, "sums", 0, "lattice"], True),
+     "lattice must be an integer"),
+    ("met index a bool", _set(["met", 0, "index"], True), "index must be an integer"),
+    ("met level a float", _set(["met", 8, "level"], 2.0), "level must be an integer"),
+    ("request level a bool", _set(["met", 0, "request", "level"], True),
+     "level must be an integer"),
+    ("witness level a string", _set(["met", 0, "witness", "level"], "1"),
+     "level must be an integer"),
+    ("seed a float", _set(["rng_seed"], 2.7), "rng_seed must be an integer"),
+    ("sample budget a string", _set(["sample_budget"], "60"), "sample_budget must be an integer"),
+    ("m a float", _set(["instance", "group", "m"], 1.9), "m must be an integer"),
+    ("torsion order a string", _set(["instance", "h", "torsion_orders"], ["2"]),
+     "torsion_orders must be an integer"),
+    ("element tor a string", _set(["met", 0, "request", "elem", "tor"], ["1"]),
+     "tor must be an integer"),
+    ("element q a number", _set(["conditions", 0, "u", 0, "atoms", 0, "base", "q"], [0.5]),
+     "q must be a list of rationals"),
 ]
 
 

@@ -1,0 +1,188 @@
+"""Sum-part membership by lattice residues.
+
+Oracles: the atom-pair scan that membership used before (each pair atom
+built and solved by SNF, tests/oracles.py), and SNF membership in a single
+lattice for the residue map itself.
+"""
+
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import ssgpkit.symsets as symsets
+from ssgpkit.arith import next_prime
+from ssgpkit.driver import build_chain, chain_bytes, chain_from_json, stage_set
+from ssgpkit.groups import HSpec, Instance, WideGroup
+from ssgpkit.poset import Condition, validate
+from ssgpkit.symsets import (
+    SymSet,
+    _Lattice,
+    _sumpart_contains,
+    atom_contains,
+    make_atom,
+    member,
+    sample_point,
+    sum_sets,
+    symset_from_atoms,
+)
+
+from oracles import sumpart_contains_pair_scan
+
+FULL_Z2 = Instance(WideGroup(1, "full"), HSpec(0, (2,)))
+
+
+def _foreign(inst, chain, count):
+    """Elements with a denominator prime beyond the chain's final pi that
+    the group allows: no atom of any stage reaches such a prime."""
+    p = max(chain.conditions[-1].pi, default=2)
+    out = []
+    h = (0,) * inst.h.free_rank, tuple(1 % d for d in inst.h.torsion_orders)
+    while len(out) < count:
+        p = next_prime(p)
+        if inst.group.sigma(p):
+            q = (F(1, p),) + (F(0),) * (inst.m - 1)
+            out.append(inst.make(q, *h))
+    return out
+
+
+# (name, instance, max level, enum count, {level: enumerated elements asked};
+# a negative count keeps only the elements with a fractional coordinate).
+# Enumerated elements include hard misses, which the pair scan pays for
+# with a full scan of the level's atom pairs: about 1 s each at level 0 of
+# the `query` and residue chains (108 x 108 atoms), 0.2 s at level 1 of
+# `deep` (68 x 68) and 70 s at level 0 of `deep` (630 x 630).  So those
+# levels ask a few of them, and `deep` level 0 only misses the support
+# prune decides.
+CHAINS = [
+    ("query", FULL_Z2, 2, 3, {0: 4, 1: 30}),
+    ("deep", FULL_Z2, 3, 2, {0: -12, 1: 6, 2: 30}),
+    ("m2 H=Z+Z/3", Instance(WideGroup(2, "full"), HSpec(1, (3,))), 1, 6, {0: 20}),
+    ("residue 1 mod 4", Instance(WideGroup(1, "residue", 1, 4), HSpec(0, (2,))), 2, 3,
+     {0: 3, 1: 30}),
+]
+
+
+@pytest.mark.parametrize("inst, L, N, asked", [c[1:] for c in CHAINS], ids=[c[0] for c in CHAINS])
+def test_sumpart_contains_matches_pair_scan(inst, L, N, asked):
+    chain = build_chain(inst, L, N, rng_seed=0, sample_budget=50)
+    rng = random.Random(L * 10 + N)
+    foreign = _foreign(inst, chain, 2)
+    hard_misses = 0
+    for i in range(L + 1):
+        S = stage_set(chain, i)
+        assert bool(S.sums) == (i in asked)
+        n = asked.get(i, 0)
+        enum = inst.enumerate_first(abs(n))
+        if n < 0:
+            enum = [x for x in enum if any(c.denominator > 1 for c in x.q)]
+        for sp in S.sums:
+            own = SymSet((), (sp,))
+            samples = [sample_point(inst, own, rng, 4) for _ in range(6)]
+            for x in samples:
+                assert _sumpart_contains(inst, x, sp)
+            points = enum + foreign + samples
+            points += [inst.add(sample_point(inst, own, rng, 4), y) for y in foreign]
+            for x in points:
+                got = _sumpart_contains(inst, x, sp)
+                assert got == sumpart_contains_pair_scan(inst, x, sp), (i, inst.format_elem(x))
+                hard_misses += x in enum and not got
+    assert hard_misses >= 2
+
+
+def test_sumpart_contains_matches_pair_scan_rank_deficient_free_column():
+    # Generators with zero free part leave the free column of every pair
+    # lattice unspanned; the atoms' bases still differ there.
+    inst = Instance(WideGroup(2, "full"), HSpec(1, (3,)))
+    rng = random.Random(11)
+
+    def atom(free_gens):
+        base = inst.make([F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(2)],
+                         [rng.randint(-2, 2)], [rng.randint(0, 2)])
+        gens = [inst.make([F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(2)],
+                          [rng.choice((0, 2)) if free_gens else 0], [rng.randint(0, 2)])
+                for _ in range(rng.randint(0, 2))]
+        return make_atom(inst, base, gens, rng.choice((1, 2, 3, 6)))
+
+    answers = []
+    for free_gens in (False, True):
+        S = symset_from_atoms(inst, [atom(free_gens) for _ in range(4)])
+        T = symset_from_atoms(inst, [atom(free_gens) for _ in range(4)])
+        for latt in (0, 4):
+            sp = sum_sets(inst, S, T, latt).sums[0]
+            own = SymSet((), (sp,))
+            points = inst.enumerate_first(40)
+            for _ in range(20):
+                y = sample_point(inst, own, rng, 3)
+                points += [y, inst.add(y, inst.make([F(1, 2), 0], [1], [0])),
+                           inst.add(y, inst.make([0, 0], [0], [1]))]
+            for x in points:
+                got = _sumpart_contains(inst, x, sp)
+                assert got == sumpart_contains_pair_scan(inst, x, sp), inst.format_elem(x)
+                answers.append(got)
+    assert answers.count(True) >= 40 and answers.count(False) >= 40
+
+
+@pytest.mark.parametrize("m, h", [(1, HSpec(0, (2,))), (2, HSpec(1, (3,))), (1, HSpec(1, (2, 4)))])
+def test_residue_classes_are_snf_cosets(m, h):
+    inst = Instance(WideGroup(m, "full"), h)
+    rng = random.Random(100 * m + 10 * h.free_rank + len(h.torsion_orders))
+
+    def elem(den=(1, 2, 3, 4, 6)):
+        return inst.make([F(rng.randint(-6, 6), rng.choice(den)) for _ in range(m)],
+                         [rng.randint(-3, 3) for _ in range(h.free_rank)],
+                         [rng.randint(0, d - 1) for d in h.torsion_orders])
+
+    same = differ = 0
+    for _ in range(60):
+        gens = [elem() for _ in range(rng.randint(0, 3))]
+        mod = rng.randint(1, 6)
+        lat = _Lattice(inst, gens, mod)
+        cell = make_atom(inst, inst.zero(), gens, mod)
+        for _ in range(8):
+            x = elem()
+            if rng.random() < 0.5:
+                y = x  # y in the coset of x, up to the perturbation below
+                for g in gens:
+                    y = inst.add(y, inst.smul(rng.randint(-3, 3), g))
+                z = [F(mod * rng.randint(-3, 3)) for _ in range(m)]
+                y = inst.add(y, inst.from_qvec(tuple(z)))
+                if rng.random() < 0.5:
+                    y = inst.add(y, elem(den=(1, 2, 12)))
+            else:
+                y = elem()
+            inside = atom_contains(inst, inst.add(x, inst.neg(y)), cell)
+            assert (lat.residue(x) == lat.residue(y)) == inside
+            same += inside
+            differ += not inside
+    assert same >= 50 and differ >= 50
+
+
+def test_foreign_prime_miss_computes_no_residue(monkeypatch):
+    # No right atom reaches a foreign denominator prime, so the support
+    # prune leaves nothing to ask: a miss there costs no lattice work.
+    chain = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
+    calls = []
+    real = _Lattice.residue
+    monkeypatch.setattr(_Lattice, "residue", lambda self, x: calls.append(x) or real(self, x))
+    for x in _foreign(FULL_Z2, chain, 3):
+        for i in range(chain.max_level + 1):
+            assert not member(FULL_Z2, x, stage_set(chain, i))
+    assert calls == []
+
+
+def test_symmetry_verdict_is_computed_once_per_shared_set(monkeypatch):
+    built = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
+    # a fresh parse: the build's own checks have not warmed these sets
+    chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
+    p = chain.conditions[-1]
+    q = Condition(p.pi, p.n, p.u, p.s)  # a second condition sharing every level set
+    negated = []
+    real = symsets.neg_set
+    monkeypatch.setattr(symsets, "neg_set", lambda inst, S: negated.append(S) or real(inst, S))
+    assert validate(FULL_Z2, p).ok()
+    assert negated
+    negated.clear()
+    assert validate(FULL_Z2, q).ok()
+    assert negated == []
