@@ -30,7 +30,7 @@ from .driver import (
     stage_invariants,
     stage_set,
 )
-from .groups import ConstructionError, HSpec, Instance, WideGroup
+from .groups import ConstructionError, HSpec, Instance, WideGroup, json_int, json_ints
 from .symsets import ExpansionLimitError, member, witness_to_json
 
 EXIT_OK = 0
@@ -71,17 +71,19 @@ class InstanceConfig:
 
 
 def parse_config(obj: dict) -> InstanceConfig:
+    # integer fields take JSON integers only, as in chain files: int() would
+    # read "23" as a list of torsion orders, 1.9 as 1 and true as 1
     try:
-        m = int(obj["m"])
+        m = json_int(obj["m"], "m")
         group = obj["group"]
         h = obj["h"]
-        free_rank = int(h.get("free_rank", 0))
-        torsion = tuple(int(d) for d in h.get("torsion_orders", ()))
+        free_rank = json_int(h.get("free_rank", 0), "free_rank")
+        torsion = json_ints(h.get("torsion_orders", []), "torsion_orders")
         budget = obj["budget"]
-        max_level = int(budget["max_level"])
-        enum_count = int(budget["enum_count"])
-        sample_budget = int(obj.get("sample_budget", 200))
-        rng_seed = int(obj.get("rng_seed", 0))
+        max_level = json_int(budget["max_level"], "max_level")
+        enum_count = json_int(budget["enum_count"], "enum_count")
+        sample_budget = json_int(obj.get("sample_budget", 200), "sample_budget")
+        rng_seed = json_int(obj.get("rng_seed", 0), "rng_seed")
     except (KeyError, TypeError, AttributeError) as e:
         raise ConfigError(f"missing or malformed field: {e}") from e
 
@@ -104,10 +106,10 @@ def parse_config(obj: dict) -> InstanceConfig:
     if isinstance(group, dict) and "localized" in group:
         loc = group["localized"]
         try:
-            r = int(loc["r"])
-            q = int(loc["q"])
+            r = json_int(loc["r"], "r")
+            q = json_int(loc["q"], "q")
         except (KeyError, TypeError) as e:
-            raise ConfigError("localized group needs residue fields r and q") from e
+            raise ConfigError(f"localized group needs residue fields r and q: {e}") from e
         if q < 2 or not (0 <= r < q):
             raise ConfigError("need 0 <= r < q with q >= 2")
         if math.gcd(r, q) != 1:
@@ -232,14 +234,14 @@ def cmd_verify(args) -> int:
             try:
                 separation_certificate(chain, x)
                 checks[f"sep_{name}"] = True
-            except (AssertionError, BudgetError):
+            except (ChainFormatError, BudgetError):
                 checks[f"sep_{name}"] = False
         else:
             lvl = e.request.level
             try:
                 ssgp_certificate(chain, x, lvl)
                 checks[f"cap_{name}_at_{lvl}"] = True
-            except (AssertionError, BudgetError):
+            except (ChainFormatError, BudgetError):
                 checks[f"cap_{name}_at_{lvl}"] = False
     print(f"# certificates: {time.monotonic() - t0:.2f}s", file=sys.stderr)
 

@@ -201,16 +201,18 @@ def stage_set(chain: FilterChain, i: int) -> SymSet:
 
 
 def separation_certificate(chain: FilterChain, x: KElem) -> int:
-    """Level n with x outside stage set n, re-verified exactly."""
+    """Level n with x outside stage set n, re-verified exactly; a recorded
+    level whose stage set contains x is a ChainFormatError."""
     if x.is_zero():
         raise ValueError("zero is never separated")
     for entry in chain.met:
         if entry.request.kind == KIND_AVOID and entry.request.elem == x:
             n = entry.level
             if member(chain.inst, x, stage_set(chain, n)):
-                raise AssertionError(
-                    "recorded separation level regained the element: "
-                    "the chain is not coherently ordered"
+                raise ChainFormatError(
+                    f"failed to re-validate the separation of "
+                    f"{chain.inst.format_elem(x)} at level {n}: the stage set "
+                    f"contains it"
                 )
             return n
     raise BudgetError(f"no separation recorded for {chain.inst.format_elem(x)}")
@@ -219,7 +221,8 @@ def separation_certificate(chain: FilterChain, x: KElem) -> int:
 def ssgp_certificate(chain: FilterChain, x: KElem, i: int) -> SSGPWitness:
     """Recorded capture witness for x at stage i, re-checked exactly against
     the assembled stage set: the head by membership, each part by the
-    syntactic cyclic certificate (cyclic_in_set), and the sum identity."""
+    syntactic cyclic certificate (cyclic_in_set), and the sum identity.  A
+    witness that fails a check is a ChainFormatError."""
     inst = chain.inst
     entry_w: Optional[SSGPWitness] = None
     for entry in chain.met:
@@ -238,13 +241,20 @@ def ssgp_certificate(chain: FilterChain, x: KElem, i: int) -> SSGPWitness:
                 f"no capture recorded for {inst.format_elem(x)} at level {i}"
             )
     S = stage_set(chain, i)
+
+    def broken(why: str) -> ChainFormatError:
+        return ChainFormatError(
+            f"failed to re-validate the capture of {inst.format_elem(x)} at "
+            f"level {i}: {why}"
+        )
+
     if not member(inst, entry_w.head, S):
-        raise AssertionError("witness head escapes the stage set")
+        raise broken("its head escapes the stage set")
     for g in entry_w.parts:
         if not cyclic_in_set(inst, g, S):
-            raise AssertionError("witness part is not cyclic inside the stage set")
+            raise broken("a part is not cyclic inside the stage set")
     if not entry_w.verify_identity(inst):
-        raise AssertionError("witness identity broke")
+        raise broken("head and parts do not sum to the element")
     # the recorded witness carries its capture depth; the certificate is for i
     return SSGPWitness(entry_w.target, i, entry_w.head, entry_w.parts)
 

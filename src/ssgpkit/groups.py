@@ -85,15 +85,15 @@ def _fr_parse(s: str) -> Fraction:
 
 
 def json_int(value, field: str) -> int:
-    """An integer field of a chain file, taken as it was written: a JSON
-    integer, never a bool, float or string that int() would coerce."""
+    """An integer field of a chain file or config, taken as it was written:
+    a JSON integer, never a bool, float or string that int() would coerce."""
     if type(value) is not int:
         raise TypeError(f"{field} must be an integer, got {value!r}")
     return value
 
 
 def json_ints(value, field: str) -> tuple[int, ...]:
-    """A list-of-integers field of a chain file (see json_int)."""
+    """A list-of-integers field of a chain file or config (see json_int)."""
     if not isinstance(value, list):
         raise TypeError(f"{field} must be a list of integers, got {value!r}")
     return tuple(json_int(v, field) for v in value)

@@ -7,15 +7,15 @@ set sizes per level: materializing every pairwise atom sum across a whole
 chain is exponential in tower height, while membership only ever needs the
 pairwise sums of the (much smaller) child sets.
 
-Atom membership reduces to integer feasibility of one linear system (gen
-coefficients, lattice vector, torsion slacks), solved by exact diagonal
-reduction of the integer matrix.  Sum-part membership never builds a pair
-atom: x lies in a + b + latt*Z^m exactly when x - a.base and b.base fall in
-one coset of the pair's lattice, and coset representatives come from an
-echelon basis of that lattice (Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.4), so one hash lookup decides a whole class of right
-atoms.  Both steps are exact; the denominator-support prune in front of
-them is a necessary condition, never a filter on correctness.
+Membership has one mechanism.  y lies in b + span(gens) + mod*Z^m exactly
+when y and b.base fall in one coset of the lattice Gamma = span(b.gens) +
+span(gens) + gcd(b.mod, mod)*Z^m, and coset representatives come from an
+echelon basis of Gamma (Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4), so one hash lookup decides a whole class of atoms.  A set's
+own atoms are asked with nothing added; a sum part asks its right
+expansion with each left atom's generators and modulus added.  Both are
+exact; the denominator-support prune in front of them is a necessary
+condition, never a filter on correctness.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SumPart:
         self.right = right
         self.latt = latt
         self._key = None
-        self._index = None  # _SumIndex, built by the first pair search
+        self._index = None  # _AtomIndex of the right expansion, built by the first search
 
     def key(self):
         if self._key is None:
@@ -149,7 +149,9 @@ class SumPart:
 class SymSet:
     """Finite union of atoms and sum parts."""
 
-    __slots__ = ("atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric")
+    __slots__ = (
+        "atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric", "_index"
+    )
 
     def __init__(self, atoms: Sequence[Atom] = (), sums: Sequence[SumPart] = ()):
         self.atoms = tuple(atoms)
@@ -159,6 +161,7 @@ class SymSet:
         self._expanded = None
         self._memo = {}
         self._symmetric = None  # is_symmetric_syntactic's verdict, once asked
+        self._index = None  # _AtomIndex of atoms, built by the first member call
 
     def key(self):
         if self._key is None:
@@ -183,6 +186,9 @@ class SymSet:
 # -- integer linear algebra --------------------------------------------------
 
 
+# No library code calls snf_solve: the tests hold membership against it as
+# an independent reference, and perfbench/tracer.py looks it up by name.  It
+# can move to the tests only together with a change to that tracer.
 def snf_solve(A: list[list[int]], c: list[int]) -> Optional[list[int]]:
     """One integer solution of A*y = c, or None.
 
@@ -274,50 +280,12 @@ def snf_solve(A: list[list[int]], c: list[int]) -> Optional[list[int]]:
 
 
 def atom_contains(inst: Instance, x: KElem, a: Atom) -> bool:
-    """Exact membership x in a: integer feasibility of
-    x - base = sum n_j*g_j + mod*z (+ torsion slack)."""
-    r = len(a.gens)
-    m = inst.m
-    fr = inst.h.free_rank
-    tors = inst.h.torsion_orders
-    ncols = r + m + len(tors)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-
-    # q-part: rational rows scaled to integers
-    for i in range(m):
-        coeffs = [g.q[i] for g in a.gens]
-        target = x.q[i] - a.base.q[i]
-        denlcm = 1
-        for val in coeffs + [target]:
-            denlcm = denlcm * val.denominator // math.gcd(denlcm, val.denominator)
-        row = [0] * ncols
-        for j, val in enumerate(coeffs):
-            row[j] = int(val * denlcm)
-        row[r + i] = a.mod * denlcm
-        rows.append(row)
-        rhs.append(int(target * denlcm))
-
-    # free part: lattice contributes nothing
-    for f in range(fr):
-        row = [0] * ncols
-        for j, g in enumerate(a.gens):
-            row[j] = g.free[f]
-        rows.append(row)
-        rhs.append(x.free[f] - a.base.free[f])
-
-    # torsion part: congruence via slack variable
-    for t, d in enumerate(tors):
-        row = [0] * ncols
-        for j, g in enumerate(a.gens):
-            row[j] = g.tor[t]
-        row[r + m + t] = d
-        rows.append(row)
-        rhs.append(x.tor[t] - a.base.tor[t])
-
-    if not rows:
-        return True
-    return snf_solve(rows, rhs) is not None
+    """Exact membership x in a: x and a.base share a residue modulo a's
+    lattice (_Lattice).  member asks the same question of many atoms at
+    once through _AtomIndex; this single-atom form is for callers outside
+    the package."""
+    lat = _Lattice(inst, a.gens, a.mod)
+    return lat.residue(x) == lat.residue(a.base)
 
 
 def _echelon(rows: list[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
@@ -355,10 +323,10 @@ class _Lattice:
     integral.  Then x - y lies in Gamma exactly when D*x.q and D*y.q have
     equal fractional parts and the integer vectors (floor(D*q), free, tor)
     differ by an element of the row lattice L spanned by the scaled
-    generators, the rows D*mod*e_i and the torsion rows d_t*e_t: the same
-    system atom_contains solves.  Reducing a vector by an echelon basis of
-    L, each pivot entry into [0, pivot), leaves one representative per
-    coset of L, also when the free columns are not spanned."""
+    generators, the rows D*mod*e_i and the torsion rows d_t*e_t.  Reducing
+    a vector by an echelon basis of L, each pivot entry into [0, pivot),
+    leaves one representative per coset of L, also when the free columns
+    are not spanned."""
 
     __slots__ = ("den", "basis")
 
@@ -451,62 +419,74 @@ def expansion(inst: Instance, S: SymSet) -> list[Atom]:
     return list(S._expanded)
 
 
-class _SumIndex:
-    """Lazy lookup tables for one sum part left + right + latt*Z^m.
+class _AtomIndex:
+    """Lazy lookup tables that answer "is y in some atom of this list,
+    widened by span(gens) + mod*Z^m?".
 
-    The right expansion is grouped by denominator support, then by lattice
-    class (generators, modulus); a class key names its support too.  A
-    left atom a and a right class C meet in the lattice of their pair,
-    Gamma = span(a.gens) + span(C.gens) + gcd(a.mod, C.mod, latt)*Z^m.
-    Each distinct Gamma gets one _Lattice and one table holding, for each
-    class C filed under it, the residue of each base of C with C's key
-    appended (another class filed under the same Gamma may meet a in a
-    smaller lattice, so a residue alone would not do).  A cell maps (a's
-    class, C) to Gamma and is filled, with C's residues, only when a
-    search first reaches it."""
+    The atoms are grouped by denominator support, then by lattice class
+    (generators, modulus); a class key names its support too.  Class C
+    widened by the extra lattice E = span(gens) + mod*Z^m is the lattice
+    Gamma = span(C.gens) + span(gens) + gcd(C.mod, mod)*Z^m (mod = 0 adds
+    no lattice term).  Each distinct Gamma gets one _Lattice and one table
+    holding, for each class C filed under it, the residue of each base of
+    C with C's key appended (another class filed under the same Gamma may
+    meet another E in a smaller lattice, so a residue alone would not do).
+    A cell maps (E, C) to Gamma and is filled, with C's residues, only
+    when a search first reaches it."""
 
-    __slots__ = ("right", "lattices", "cells")
+    __slots__ = ("groups", "lattices", "cells")
 
-    def __init__(self, inst: Instance, sp: SumPart):
-        right: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
-        for b in expansion(inst, sp.right):
+    def __init__(self, atoms: Iterable[Atom]):
+        groups: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
+        for b in atoms:
             cls = (b.supp(), b.key()[1], b.mod)
-            right.setdefault(b.supp(), {}).setdefault(cls, []).append(b)
-        self.right = right
+            groups.setdefault(b.supp(), {}).setdefault(cls, []).append(b)
+        self.groups = groups
         # (gen keys, mod) -> (lattice, residue table)
         self.lattices: dict[tuple, tuple[_Lattice, set]] = {}
-        # left class -> right class -> the same (lattice, residue table)
+        # extra lattice E -> class -> the same (lattice, residue table)
         self.cells: dict[tuple, dict] = {}
 
-    def cell(self, inst: Instance, a: Atom, ckey: tuple, batoms: list[Atom], latt: int):
-        """The pair lattice of a and class ckey, and its residue table."""
-        row = self.cells.get((a.key()[1], a.mod))
-        if row is None:
-            row = self.cells[(a.key()[1], a.mod)] = {}
-        hit = row.get(ckey)
-        if hit is None:
-            b = batoms[0]
-            gens = dict(zip(a.key()[1], a.gens))
-            gens.update(zip(b.key()[1], b.gens))
-            lkey = (tuple(sorted(gens)), math.gcd(math.gcd(a.mod, b.mod), latt))
-            hit = self.lattices.get(lkey)
-            if hit is None:
-                hit = self.lattices[lkey] = (_Lattice(inst, tuple(gens.values()), lkey[1]), set())
-            lat, table = hit
-            table.update(lat.residue(c.base) + (ckey,) for c in batoms)
-            row[ckey] = hit
-        return hit
+    def contains(
+        self, inst: Instance, y: KElem, needed: PrimeSet,
+        gens: Sequence[KElem], mod: int,
+    ) -> bool:
+        """Exact y in b + span(gens) + mod*Z^m for some atom b, asking only
+        the classes whose support covers needed.  The caller makes sure
+        that no other class can answer yes: integer combinations cannot
+        manufacture new denominator primes."""
+        gkeys = tuple(_elem_key(g) for g in gens)
+        row = self.cells.setdefault((gkeys, mod), {})
+        for supp, classes in self.groups.items():
+            if not needed <= supp:
+                continue
+            for ckey, batoms in classes.items():
+                hit = row.get(ckey)
+                if hit is None:
+                    b = batoms[0]
+                    both = dict(zip(gkeys, gens))
+                    both.update(zip(b.key()[1], b.gens))
+                    lkey = (tuple(sorted(both)), math.gcd(b.mod, mod))
+                    hit = self.lattices.get(lkey)
+                    if hit is None:
+                        lat = _Lattice(inst, tuple(both.values()), lkey[1])
+                        hit = self.lattices[lkey] = (lat, set())
+                    lat, table = hit
+                    table.update(lat.residue(c.base) + (ckey,) for c in batoms)
+                    row[ckey] = hit
+                lat, table = hit
+                if lat.residue(y) + (ckey,) in table:
+                    return True
+        return False
 
 
 def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
     """Exact x in left + right + latt*Z^m.
 
-    For expansion atoms a of left and b of right, x lies in a + b +
-    latt*Z^m exactly when x - a.base - b.base lies in the pair's lattice
-    Gamma, that is when red(x - a.base) = red(b.base) for the canonical
-    residue red modulo Gamma (_Lattice.residue).  So each left atom costs
-    one residue and one set lookup per right class, not one solve per
-    right atom, and the search is exhaustive over every pair."""
+    x lies in a + b + latt*Z^m, for expansion atoms a of left and b of
+    right, exactly when x - a.base lies in b widened by span(a.gens) +
+    gcd(a.mod, latt)*Z^m.  So each left atom is one _AtomIndex search of
+    the right expansion, which is exhaustive over every pair."""
     # Fast path: x = x + 0 (+ latt*0) whenever one side contains x and the
     # other contains 0.
     zero = inst.zero()
@@ -515,46 +495,38 @@ def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
     if member(inst, zero, sp.left) and member(inst, x, sp.right):
         return True
     # Any element of a + b has denominator support inside supp(a) |
-    # supp(b): integer combinations cannot manufacture new denominator
-    # primes.  So only right classes covering supp(x) - supp(a) are asked.
+    # supp(b), so only right atoms covering supp(x) - supp(a) are asked.
     # Atoms whose support sticks out of supp(x) least go first: queries
     # are overwhelmingly positive, and the witnessing pair usually lives
     # inside the query's own support.
     if sp._index is None:
-        sp._index = _SumIndex(inst, sp)
-    index = sp._index
+        sp._index = _AtomIndex(expansion(inst, sp.right))
     xsupp = vec_support(x.q)
     ordered = sorted(
         expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp)
     )
-    for la in ordered:
-        needed = xsupp - la.supp()
-        rest = inst.add(x, inst.neg(la.base))
-        for rsupp, classes in index.right.items():
-            if not needed <= rsupp:
-                continue
-            for ckey, batoms in classes.items():
-                lat, table = index.cell(inst, la, ckey, batoms, sp.latt)
-                if lat.residue(rest) + (ckey,) in table:
-                    return True
+    for a in ordered:
+        rest = inst.add(x, inst.neg(a.base))
+        if sp._index.contains(
+            inst, rest, xsupp - a.supp(), a.gens, math.gcd(a.mod, sp.latt)
+        ):
+            return True
     return False
 
 
 def member(inst: Instance, x: KElem, S: SymSet) -> bool:
-    """Exact membership in the union."""
+    """Exact membership in the union: S's atoms through one _AtomIndex
+    search (an element of an atom has its denominator support inside the
+    atom's, so atoms not covering supp(x) are skipped), then each sum
+    part."""
     hit = S._memo.get(x)
     if hit is not None:
         return hit
-    ans = False
-    for a in S.atoms:
-        if atom_contains(inst, x, a):
-            ans = True
-            break
-    if not ans:
-        for sp in S.sums:
-            if _sumpart_contains(inst, x, sp):
-                ans = True
-                break
+    if S._index is None:
+        S._index = _AtomIndex(S.atoms)
+    ans = S._index.contains(inst, x, vec_support(x.q), (), 0) or any(
+        _sumpart_contains(inst, x, sp) for sp in S.sums
+    )
     S._memo[x] = ans
     return ans
 

@@ -9,7 +9,49 @@ from typing import Sequence
 
 from ssgpkit.arith import PrimeSet, QVec, cap_multiplier, valuation, vec_support
 from ssgpkit.groups import Instance, KElem
-from ssgpkit.symsets import SumPart, SymSet, atom_add, atom_contains, expansion, snf_solve
+from ssgpkit.symsets import Atom, SumPart, SymSet, atom_add, expansion, snf_solve
+
+
+def atom_contains_snf(inst: Instance, x: KElem, a: Atom) -> bool:
+    """Exact x in a as integer feasibility of one linear system,
+    x - base = sum n_j*g_j + mod*z (+ torsion slack), solved by snf_solve:
+    a reference that shares nothing with the library's residue lookup."""
+    r = len(a.gens)
+    m = inst.m
+    tors = inst.h.torsion_orders
+    ncols = r + m + len(tors)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+
+    # q-part: rational rows scaled to integers
+    for i in range(m):
+        coeffs = [g.q[i] for g in a.gens]
+        target = x.q[i] - a.base.q[i]
+        denlcm = 1
+        for val in coeffs + [target]:
+            denlcm = denlcm * val.denominator // math.gcd(denlcm, val.denominator)
+        row = [0] * ncols
+        for j, val in enumerate(coeffs):
+            row[j] = int(val * denlcm)
+        row[r + i] = a.mod * denlcm
+        rows.append(row)
+        rhs.append(int(target * denlcm))
+
+    # free part: lattice contributes nothing
+    for f in range(inst.h.free_rank):
+        rows.append([g.free[f] for g in a.gens] + [0] * (m + len(tors)))
+        rhs.append(x.free[f] - a.base.free[f])
+
+    # torsion part: congruence via slack variable
+    for t, d in enumerate(tors):
+        row = [g.tor[t] for g in a.gens] + [0] * (m + len(tors))
+        row[r + m + t] = d
+        rows.append(row)
+        rhs.append(x.tor[t] - a.base.tor[t])
+
+    if not rows:
+        return True
+    return snf_solve(rows, rhs) is not None
 
 
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
@@ -87,12 +129,12 @@ def _sum_buckets(inst: Instance, S: SymSet) -> dict:
 def sumpart_contains_pair_scan(inst: Instance, x: KElem, sp: SumPart) -> bool:
     """Exact x in left + right + latt*Z^m, pair by pair: each pair atom
     a + b + latt*Z^m is built with atom_add and its membership system
-    solved by SNF.
+    solved by SNF (atom_contains_snf).
 
     Any element of a + b has denominator support inside supp(a) | supp(b),
     so only right buckets covering supp(x) - supp(a) are solved.  The scan
     asks nothing of the library's sum-part search, not even its zero fast
-    paths: it reads only expansion, atom_add and atom_contains."""
+    paths: it reads only expansion, atom_add and snf_solve."""
     xsupp = vec_support(x.q)
     right = _sum_buckets(inst, sp.right)
     ordered = sorted(expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp))
@@ -102,6 +144,6 @@ def sumpart_contains_pair_scan(inst: Instance, x: KElem, sp: SumPart) -> bool:
             if not needed <= rsupp:
                 continue
             for rb in batoms:
-                if atom_contains(inst, x, atom_add(inst, la, rb, sp.latt)):
+                if atom_contains_snf(inst, x, atom_add(inst, la, rb, sp.latt)):
                     return True
     return False

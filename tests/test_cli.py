@@ -96,6 +96,46 @@ def test_build_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _with(**fields):
+    return dict(CONFIG, **fields)
+
+
+BAD_CONFIGS = [
+    # integer fields take JSON integers only: no digit strings, bools or floats
+    ("m a string", _with(m="x"), "m must be an integer"),
+    ("m a float", _with(m=1.9), "m must be an integer"),
+    ("torsion orders a digit string", _with(h={"free_rank": 0, "torsion_orders": "23"}),
+     "torsion_orders must be a list of integers"),
+    ("torsion order a string", _with(h={"torsion_orders": ["2"]}),
+     "torsion_orders must be an integer"),
+    ("free rank a float", _with(h={"free_rank": 1.0}), "free_rank must be an integer"),
+    ("max level a bool", _with(budget={"max_level": True, "enum_count": 4}),
+     "max_level must be an integer"),
+    ("enum count a string", _with(budget={"max_level": 1, "enum_count": "4"}),
+     "enum_count must be an integer"),
+    ("sample budget a float", _with(sample_budget=60.0), "sample_budget must be an integer"),
+    ("seed a bool", _with(rng_seed=False), "rng_seed must be an integer"),
+    ("residue r a string", _with(group={"localized": {"r": "1", "q": 4}}), "r must be an integer"),
+    ("residue q a float", _with(group={"localized": {"r": 1, "q": 4.0}}), "q must be an integer"),
+    ("not an object", [1], "missing or malformed field"),
+]
+
+
+@pytest.mark.parametrize("obj, expect", [c[1:] for c in BAD_CONFIGS],
+                         ids=[c[0] for c in BAD_CONFIGS])
+def test_build_malformed_config_is_one_config_error(tmp_path, capsys, obj, expect):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "c.json"
+    rc = main(["build", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert expect in lines[0]
+
+
 # -- build -------------------------------------------------------------------
 
 
@@ -397,6 +437,51 @@ def test_verify_malformed_file_is_one_chain_error(workdir, tmp_path, capsys, mut
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("chain error:"), lines
     assert expect in lines[0]
+
+
+def _met_entry(kind, elem_q, level=None):
+    def find(obj):
+        for k, e in enumerate(obj["met"]):
+            req = e["request"]
+            if req["kind"] == kind and req["elem"]["q"] == [elem_q] and req.get("level") == level:
+                return k
+        raise LookupError(kind)
+    return find
+
+
+TAMPERED = [
+    # a separation recorded at level 0, whose stage set holds every integer
+    ("separation level 0", _met_entry("avoid", "-1/1"), ["level"], 0,
+     ["query", "separate", "--element", "-1;0"],
+     "failed to re-validate the separation of -1;0 at level 0", "sep_-1;0"),
+    # a capture witness whose head no longer sums with its parts to -1
+    ("capture head 7", _met_entry("ssgp", "-1/1", 0), ["witness", "head", "q"], ["7/1"],
+     ["query", "ssgp", "--element", "-1;0", "--level", "0"],
+     "failed to re-validate the capture of -1;0 at level 0", "cap_-1;0_at_0"),
+]
+
+
+@pytest.mark.parametrize("find, path, value, argv, expect, check", [t[1:] for t in TAMPERED],
+                         ids=[t[0] for t in TAMPERED])
+def test_query_tampered_certificate_is_one_chain_error(
+    workdir, tmp_path, capsys, find, path, value, argv, expect, check
+):
+    obj = json.loads((workdir / "chain.json").read_text())
+    _set(["met", find(obj)] + path, value)(obj)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(argv + ["--chain", str(bad)])
+    assert rc == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chain error:"), lines
+    assert expect in lines[0]
+    # verify reports the same certificate as one failed check
+    rc = main(["verify", "--chain", str(bad)])
+    assert rc == EXIT_CHECK
+    rep = json.loads(capsys.readouterr().out)
+    assert [k for k, ok in rep["checks"].items() if not ok] == [check]
 
 
 def test_verify_corrupt_file_exits_1(tmp_path, capsys):

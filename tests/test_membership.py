@@ -1,8 +1,8 @@
-"""Sum-part membership by lattice residues.
+"""Membership by lattice residues, for set atoms and sum parts alike.
 
-Oracles: the atom-pair scan that membership used before (each pair atom
-built and solved by SNF, tests/oracles.py), and SNF membership in a single
-lattice for the residue map itself.
+Oracles: SNF membership in a single atom (tests/oracles.py), for the
+residue map itself and for unions of atoms, and the atom-pair scan that
+sum-part membership used before (each pair atom built and solved by SNF).
 """
 
 import json
@@ -28,7 +28,7 @@ from ssgpkit.symsets import (
     symset_from_atoms,
 )
 
-from oracles import sumpart_contains_pair_scan
+from oracles import atom_contains_snf, sumpart_contains_pair_scan
 
 FULL_Z2 = Instance(WideGroup(1, "full"), HSpec(0, (2,)))
 
@@ -124,6 +124,24 @@ def test_sumpart_contains_matches_pair_scan_rank_deficient_free_column():
     assert answers.count(True) >= 40 and answers.count(False) >= 40
 
 
+def test_shared_residue_table_keeps_class_tags():
+    # Left atom a1 files right class {b} (no generators) and left atom a2
+    # files right class {c} (generator g) under one lattice, Gamma =
+    # span(g) + 4Z.  x - a2.base has b.base's residue modulo Gamma, yet x
+    # is in no pair: a2 + b lacks g.  Only the class tag on each table
+    # entry keeps b's residue from answering for c.
+    inst = Instance(WideGroup(1, "full"), HSpec(1, ()))
+    g = inst.make([0], [1], [])
+    S = symset_from_atoms(inst, [make_atom(inst, inst.make([2], [0], []), [g], 4),
+                                 make_atom(inst, inst.zero(), [], 4)])
+    T = symset_from_atoms(inst, [make_atom(inst, inst.make([1], [0], []), [], 4),
+                                 make_atom(inst, inst.zero(), [g], 4)])
+    sp = sum_sets(inst, S, T).sums[0]
+    x = inst.make([1], [1], [])
+    assert not sumpart_contains_pair_scan(inst, x, sp)
+    assert not _sumpart_contains(inst, x, sp)
+
+
 @pytest.mark.parametrize("m, h", [(1, HSpec(0, (2,))), (2, HSpec(1, (3,))), (1, HSpec(1, (2, 4)))])
 def test_residue_classes_are_snf_cosets(m, h):
     inst = Instance(WideGroup(m, "full"), h)
@@ -152,11 +170,49 @@ def test_residue_classes_are_snf_cosets(m, h):
                     y = inst.add(y, elem(den=(1, 2, 12)))
             else:
                 y = elem()
-            inside = atom_contains(inst, inst.add(x, inst.neg(y)), cell)
+            inside = atom_contains_snf(inst, inst.add(x, inst.neg(y)), cell)
             assert (lat.residue(x) == lat.residue(y)) == inside
             same += inside
             differ += not inside
     assert same >= 50 and differ >= 50
+
+
+def test_member_on_atom_unions_matches_snf():
+    # Plain atoms go through the same residue index as sum parts.  The
+    # generators come from a small pool, so several classes share one
+    # lattice: equal generators and modulus, bases with different
+    # denominator supports.  Generators with zero free part leave the free
+    # column unspanned.
+    inst = Instance(WideGroup(1, "full"), HSpec(1, (2, 3)))
+    rng = random.Random(8)
+
+    def elem(den, free=True):
+        return inst.make([F(rng.randint(-6, 6), rng.choice(den))],
+                         [rng.randint(-2, 2) if free else 0],
+                         [rng.randint(0, 1), rng.randint(0, 2)])
+
+    pool = [elem((1, 2, 3), free=k % 2 == 0) for k in range(3)]
+
+    def atom():
+        gens = rng.sample(pool, rng.randint(0, 2))
+        return make_atom(inst, elem((1, 2, 5, 7)), gens, rng.choice((2, 4)))
+
+    foreign = inst.make([F(1, 97)], [0], [0, 0])
+    hits = misses = 0
+    for _ in range(12):
+        atoms = [atom() for _ in range(6)]
+        S = SymSet(atoms)
+        points = inst.enumerate_first(10) + [inst.add(elem((1, 2, 5)), foreign)]
+        for _ in range(6):
+            y = sample_point(inst, S, rng, 4)
+            points += [y, inst.add(y, foreign), inst.add(y, inst.make([F(1, 2)], [1], [0, 1]))]
+        for x in points:
+            want = [atom_contains_snf(inst, x, a) for a in atoms]
+            assert [atom_contains(inst, x, a) for a in atoms] == want
+            assert member(inst, x, S) == any(want), inst.format_elem(x)
+            hits += any(want)
+            misses += not any(want)
+    assert hits >= 50 and misses >= 50
 
 
 def test_foreign_prime_miss_computes_no_residue(monkeypatch):
@@ -166,9 +222,12 @@ def test_foreign_prime_miss_computes_no_residue(monkeypatch):
     calls = []
     real = _Lattice.residue
     monkeypatch.setattr(_Lattice, "residue", lambda self, x: calls.append(x) or real(self, x))
+    atoms_only = [SymSet(stage_set(chain, i).atoms) for i in range(chain.max_level + 1)]
+    assert all(S.atoms and not S.sums for S in atoms_only)
     for x in _foreign(FULL_Z2, chain, 3):
         for i in range(chain.max_level + 1):
             assert not member(FULL_Z2, x, stage_set(chain, i))
+            assert not member(FULL_Z2, x, atoms_only[i])
     assert calls == []
 
 

@@ -19,7 +19,6 @@ from ssgpkit.symsets import (
     SumPart,
     SymSet,
     atom_add,
-    atom_contains,
     cyclic_in_set,
     expansion,
     is_symmetric_syntactic,
@@ -39,7 +38,7 @@ from ssgpkit.symsets import (
     witness_to_json,
 )
 
-from oracles import cyclic_cap_qpi, member_mod_qpi
+from oracles import atom_contains_snf, cyclic_cap_qpi, member_mod_qpi
 
 
 @pytest.fixture
@@ -237,7 +236,7 @@ def pair_oracle(inst, x, S, T, latt=0):
         for b in T.atoms:
             mod = math.gcd(math.gcd(a.mod, b.mod), latt)
             pair = make_atom(inst, inst.add(a.base, b.base), a.gens + b.gens, mod)
-            if atom_contains(inst, x, pair):
+            if atom_contains_snf(inst, x, pair):
                 return True
     return False
 
