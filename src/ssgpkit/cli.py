@@ -181,7 +181,10 @@ def _parse_element(inst: Instance, literal):
 def cmd_query(args) -> int:
     if args.level < 0:
         raise UsageError(f"levels are non-negative, got --level {args.level}")
+    t0 = time.monotonic()
     chain = _load(args.chain)
+    load_s = time.monotonic() - t0
+    t0 = time.monotonic()
     inst = chain.inst
     x = _parse_element(inst, args.element)
     if args.what == "member":
@@ -200,6 +203,9 @@ def cmd_query(args) -> int:
     else:
         w = ssgp_certificate(chain, x, args.level)
         ans = {"witness": witness_to_json(w)}
+    # printed only with an answer, so a failing query stays one error line
+    print(f"# load: {load_s:.2f}s", file=sys.stderr)
+    print(f"# query: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     print(json.dumps(ans, sort_keys=True, indent=2))
     return EXIT_OK
 

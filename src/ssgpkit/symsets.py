@@ -424,17 +424,21 @@ class _AtomIndex:
     widened by span(gens) + mod*Z^m?".
 
     The atoms are grouped by denominator support, then by lattice class
-    (generators, modulus); a class key names its support too.  Class C
-    widened by the extra lattice E = span(gens) + mod*Z^m is the lattice
-    Gamma = span(C.gens) + span(gens) + gcd(C.mod, mod)*Z^m (mod = 0 adds
-    no lattice term).  Each distinct Gamma gets one _Lattice and one table
-    holding, for each class C filed under it, the residue of each base of
-    C with C's key appended (another class filed under the same Gamma may
-    meet another E in a smaller lattice, so a residue alone would not do).
-    A cell maps (E, C) to Gamma and is filled, with C's residues, only
-    when a search first reaches it."""
+    (generators, modulus); a class key names its support too.  A search
+    asks only the classes whose support covers the needed primes; that
+    list is built once per distinct needed set, in group order, and kept
+    (few distinct sets occur, while one index may hold over a thousand
+    supports).  Class C widened by the extra lattice E = span(gens) +
+    mod*Z^m is the lattice Gamma = span(C.gens) + span(gens) +
+    gcd(C.mod, mod)*Z^m (mod = 0 adds no lattice term).  Each distinct
+    Gamma gets one _Lattice and one table holding, for each class C filed
+    under it, the residue of each base of C with C's key appended (another
+    class filed under the same Gamma may meet another E in a smaller
+    lattice, so a residue alone would not do).  A cell maps (E, C) to
+    Gamma and is filled, with C's residues, only when a search first
+    reaches it."""
 
-    __slots__ = ("groups", "lattices", "cells")
+    __slots__ = ("groups", "covering", "lattices", "cells")
 
     def __init__(self, atoms: Iterable[Atom]):
         groups: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
@@ -442,6 +446,8 @@ class _AtomIndex:
             cls = (b.supp(), b.key()[1], b.mod)
             groups.setdefault(b.supp(), {}).setdefault(cls, []).append(b)
         self.groups = groups
+        # needed primes -> the (class, atoms) pairs whose support covers them
+        self.covering: dict[PrimeSet, list[tuple[tuple, list[Atom]]]] = {}
         # (gen keys, mod) -> (lattice, residue table)
         self.lattices: dict[tuple, tuple[_Lattice, set]] = {}
         # extra lattice E -> class -> the same (lattice, residue table)
@@ -449,34 +455,37 @@ class _AtomIndex:
 
     def contains(
         self, inst: Instance, y: KElem, needed: PrimeSet,
-        gens: Sequence[KElem], mod: int,
+        gens: Sequence[KElem], gkeys: tuple, mod: int,
     ) -> bool:
         """Exact y in b + span(gens) + mod*Z^m for some atom b, asking only
-        the classes whose support covers needed.  The caller makes sure
-        that no other class can answer yes: integer combinations cannot
-        manufacture new denominator primes."""
-        gkeys = tuple(_elem_key(g) for g in gens)
+        the classes whose support covers needed; gkeys are the generators'
+        _elem_keys.  The caller makes sure that no other class can answer
+        yes: integer combinations cannot manufacture new denominator
+        primes."""
+        classes = self.covering.get(needed)
+        if classes is None:
+            classes = self.covering[needed] = [
+                item for supp, group in self.groups.items() if needed <= supp
+                for item in group.items()
+            ]
         row = self.cells.setdefault((gkeys, mod), {})
-        for supp, classes in self.groups.items():
-            if not needed <= supp:
-                continue
-            for ckey, batoms in classes.items():
-                hit = row.get(ckey)
+        for ckey, batoms in classes:
+            hit = row.get(ckey)
+            if hit is None:
+                b = batoms[0]
+                both = dict(zip(gkeys, gens))
+                both.update(zip(b.key()[1], b.gens))
+                lkey = (tuple(sorted(both)), math.gcd(b.mod, mod))
+                hit = self.lattices.get(lkey)
                 if hit is None:
-                    b = batoms[0]
-                    both = dict(zip(gkeys, gens))
-                    both.update(zip(b.key()[1], b.gens))
-                    lkey = (tuple(sorted(both)), math.gcd(b.mod, mod))
-                    hit = self.lattices.get(lkey)
-                    if hit is None:
-                        lat = _Lattice(inst, tuple(both.values()), lkey[1])
-                        hit = self.lattices[lkey] = (lat, set())
-                    lat, table = hit
-                    table.update(lat.residue(c.base) + (ckey,) for c in batoms)
-                    row[ckey] = hit
+                    lat = _Lattice(inst, tuple(both.values()), lkey[1])
+                    hit = self.lattices[lkey] = (lat, set())
                 lat, table = hit
-                if lat.residue(y) + (ckey,) in table:
-                    return True
+                table.update(lat.residue(c.base) + (ckey,) for c in batoms)
+                row[ckey] = hit
+            lat, table = hit
+            if lat.residue(y) + (ckey,) in table:
+                return True
         return False
 
 
@@ -508,7 +517,8 @@ def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
     for a in ordered:
         rest = inst.add(x, inst.neg(a.base))
         if sp._index.contains(
-            inst, rest, xsupp - a.supp(), a.gens, math.gcd(a.mod, sp.latt)
+            inst, rest, xsupp - a.supp(), a.gens, a.key()[1],
+            math.gcd(a.mod, sp.latt),
         ):
             return True
     return False
@@ -524,7 +534,7 @@ def member(inst: Instance, x: KElem, S: SymSet) -> bool:
         return hit
     if S._index is None:
         S._index = _AtomIndex(S.atoms)
-    ans = S._index.contains(inst, x, vec_support(x.q), (), 0) or any(
+    ans = S._index.contains(inst, x, vec_support(x.q), (), (), 0) or any(
         _sumpart_contains(inst, x, sp) for sp in S.sums
     )
     S._memo[x] = ans

@@ -5,6 +5,7 @@ can be asserted without spawning interpreters.
 """
 
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,20 @@ def test_query_member_zero(workdir, capsys):
     ])
     assert rc == EXIT_OK
     assert ans == {"element": "0;0", "level": 0, "member": True}
+
+
+@pytest.mark.parametrize("what, level", [("member", "1"), ("ssgp", "1"), ("separate", "0")])
+def test_query_times_go_to_stderr(workdir, capsys, what, level):
+    argv = ["query", what, "--chain", str(workdir / "chain.json"),
+            "--element", "-1;1", "--level", level]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        cap = capsys.readouterr()
+        assert re.fullmatch(r"# load: \d+\.\d\ds\n# query: \d+\.\d\ds\n", cap.err)
+        outs.append(cap.out)
+    # stdout is the JSON answer alone, byte for byte the same each time
+    assert outs[0] == outs[1] == json.dumps(json.loads(outs[0]), sort_keys=True, indent=2) + "\n"
 
 
 def test_query_member_separated_point(workdir, capsys):

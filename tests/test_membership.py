@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import ssgpkit.symsets as symsets
-from ssgpkit.arith import next_prime
+from ssgpkit.arith import next_prime, vec_support
 from ssgpkit.driver import build_chain, chain_bytes, chain_from_json, stage_set
 from ssgpkit.groups import HSpec, Instance, WideGroup
 from ssgpkit.poset import Condition, validate
@@ -213,6 +213,55 @@ def test_member_on_atom_unions_matches_snf():
             hits += any(want)
             misses += not any(want)
     assert hits >= 50 and misses >= 50
+
+
+def test_covering_classes_are_kept_per_needed_support():
+    # One atom per subset T of {2, 3, 5, 7, 11}, with denominator support
+    # exactly T: 32 supports, nested ones among them ({2} < {2,3} <
+    # {2,3,5}).  Points of different supports are asked round-robin, the
+    # widest support first, so each support comes back after others; an
+    # index that reused the classes found for another support would miss
+    # hits.
+    inst = Instance(WideGroup(1, "full"), HSpec(1, (2,)))
+    rng = random.Random(9)
+    primes = (2, 3, 5, 7, 11)
+
+    def frac(T):
+        return sum((F(rng.choice((1, -1)) * rng.randint(1, p - 1), p) for p in T), F(0))
+
+    atoms = []
+    for bits in reversed(range(2 ** len(primes))):
+        T = [p for k, p in enumerate(primes) if bits >> k & 1]
+        for _ in range(1 + bits % 3 // 2):
+            gens = [inst.make([frac(rng.sample(T, rng.randint(0, len(T))))],
+                              [rng.choice((0, 1, 2))], [rng.randint(0, 1)])
+                    for _ in range(rng.randint(0, 2))]
+            base = inst.make([frac(T) + rng.randint(-3, 3)], [rng.randint(-2, 2)],
+                             [rng.randint(0, 1)])
+            atoms.append(make_atom(inst, base, gens, rng.choice((1, 2, 4))))
+    S = SymSet(atoms)
+    assert len({a.supp() for a in atoms}) >= 30
+
+    points = []
+    for a in atoms:
+        y = sample_point(inst, SymSet((a,)), rng, 3)
+        points += [y] + [inst.add(y, inst.make([d], [1], [1]))
+                         for d in (0, F(1, 2), F(1, 13), F(1, 15))]
+    by_support = {}
+    for x in dict.fromkeys(points):
+        by_support.setdefault(vec_support(x.q), []).append(x)
+    asked = []
+    for r in range(max(map(len, by_support.values()))):
+        asked += [pts[r] for pts in by_support.values() if r < len(pts)]
+
+    hits = misses = 0
+    for x in asked:
+        want = any(atom_contains_snf(inst, x, a) for a in atoms)
+        assert member(inst, x, S) == want, inst.format_elem(x)
+        hits += want
+        misses += not want
+    assert hits >= 60 and misses >= 60
+    assert set(S._index.covering) == set(by_support)
 
 
 def test_foreign_prime_miss_computes_no_residue(monkeypatch):
