@@ -153,11 +153,18 @@ def cmd_build(args) -> int:
     if args.out is None:
         raise UsageError("build needs an output path (--out PATH)")
     inst = cfg.make_instance()
+    t0 = time.monotonic()
     chain = build_chain(
         inst, cfg.max_level, cfg.enum_count, cfg.rng_seed, cfg.sample_budget
     )
+    build_s = time.monotonic() - t0
+    t0 = time.monotonic()
     with open(args.out, "wb") as f:
         f.write(chain_bytes(chain))
+    # printed only once the file is written, so a failing build stays one
+    # error line
+    print(f"# build: {build_s:.2f}s", file=sys.stderr)
+    print(f"# write: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     nsep = sum(1 for e in chain.met if e.request.kind == KIND_AVOID)
     ncap = sum(1 for e in chain.met if e.request.kind == KIND_SSGP)
     print(f"chain: {len(chain.conditions)} conditions, max level {chain.max_level}")

@@ -20,6 +20,7 @@ condition, never a filter on correctness.
 
 from __future__ import annotations
 
+import marshal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,15 +112,6 @@ def atom_add(inst: Instance, a: Atom, b: Atom, latt: int = 0) -> Atom:
     return make_atom(inst, inst.add(a.base, b.base), a.gens + b.gens, mod)
 
 
-def atom_subsumes(a: Atom, b: Atom) -> bool:
-    """Syntactic a >= b: same base and generators, lattice at least as coarse."""
-    return (
-        a.key()[0] == b.key()[0]
-        and a.key()[1] == b.key()[1]
-        and b.mod % a.mod == 0
-    )
-
-
 class SumPart:
     """left + right + latt*Z^m, unexpanded; latt = 0 means no lattice term."""
 
@@ -150,7 +142,8 @@ class SymSet:
     """Finite union of atoms and sum parts."""
 
     __slots__ = (
-        "atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric", "_index"
+        "atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric", "_index",
+        "_cover", "_neg",
     )
 
     def __init__(self, atoms: Sequence[Atom] = (), sums: Sequence[SumPart] = ()):
@@ -162,6 +155,8 @@ class SymSet:
         self._memo = {}
         self._symmetric = None  # is_symmetric_syntactic's verdict, once asked
         self._index = None  # _AtomIndex of atoms, built by the first member call
+        self._cover = None  # (base key, gen keys) -> moduli, built by the first cover test
+        self._neg = None  # neg_set's result, once asked
 
     def key(self):
         if self._key is None:
@@ -554,7 +549,13 @@ def lattice_set(inst: Instance, s: int) -> SymSet:
 
 
 def _atom_covered(big: SymSet, b: Atom) -> bool:
-    return any(atom_subsumes(a, b) for a in big.atoms)
+    """Some atom of big has b's base and generators and a modulus dividing
+    b's (a lattice at least as coarse): one lookup in big's cover index."""
+    if big._cover is None:
+        big._cover = {}
+        for a in big.atoms:
+            big._cover.setdefault(a.key()[:2], []).append(a.mod)
+    return any(b.mod % mod == 0 for mod in big._cover.get(b.key()[:2], ()))
 
 
 def _sum_covered(inst: Instance, big: SymSet, sb: SumPart) -> bool:
@@ -630,8 +631,14 @@ def sum_sets(inst: Instance, S: SymSet, T: SymSet, latt: int = 0) -> SymSet:
 
 
 def neg_set(inst: Instance, S: SymSet) -> SymSet:
-    negsums = [SumPart(neg_set(inst, sp.left), neg_set(inst, sp.right), sp.latt) for sp in S.sums]
-    return SymSet(_dedup_atoms(atom_neg(inst, a) for a in S.atoms), negsums)
+    """-S, kept on S, so sum-part children shared across sets are negated
+    once."""
+    if S._neg is None:
+        negsums = [
+            SumPart(neg_set(inst, sp.left), neg_set(inst, sp.right), sp.latt) for sp in S.sums
+        ]
+        S._neg = SymSet(_dedup_atoms(atom_neg(inst, a) for a in S.atoms), negsums)
+    return S._neg
 
 
 def is_symmetric_syntactic(inst: Instance, S: SymSet) -> bool:
@@ -756,10 +763,22 @@ def symset_to_json(S: SymSet) -> dict:
 
 
 def symset_from_json(inst: Instance, obj: dict, table: dict) -> SymSet:
-    """Parse one set, hash-consed through table (SymSet.key() -> SymSet):
-    an equal set parsed earlier with the same table is returned instead of
-    a fresh copy, so it keeps its warm membership and expansion caches."""
-    atoms = [atom_from_json(inst, a) for a in obj["atoms"]]
+    """Parse one set, hash-consed through table: an equal set parsed
+    earlier with the same table (SymSet.key() -> SymSet) is returned
+    instead of a fresh copy, so it keeps its warm membership and expansion
+    caches.  Atoms are interned too, each distinct atom JSON parsed once
+    per table, under marshal.dumps of the JSON (bytes, so never a set
+    key).  Those bytes decode back to the very value, so they tell 1,
+    True, 1.0 and "1" apart, which == and hash do not: a value of the
+    wrong type always reaches the parser's type checks.  (repr would do
+    the same at three times the cost.)"""
+    atoms = []
+    for a in obj["atoms"]:
+        k = marshal.dumps(a)
+        atom = table.get(k)
+        if atom is None:
+            atom = table[k] = atom_from_json(inst, a)
+        atoms.append(atom)
     sums = [
         SumPart(
             symset_from_json(inst, sp["left"], table),

@@ -54,6 +54,40 @@ def atom_contains_snf(inst: Instance, x: KElem, a: Atom) -> bool:
     return snf_solve(rows, rhs) is not None
 
 
+def atom_subsumes(a: Atom, b: Atom) -> bool:
+    """Syntactic a >= b: same base and generators, lattice at least as coarse."""
+    return (
+        a.key()[0] == b.key()[0]
+        and a.key()[1] == b.key()[1]
+        and b.mod % a.mod == 0
+    )
+
+
+def superset_scan(big: SymSet, small: SymSet) -> bool:
+    """symset_superset_syntactic by scanning: every atom of small is
+    subsumed by some atom of big (atom_subsumes), every sum part of small
+    equals or is covered by some sum part of big (lattice at least as
+    coarse, children recursively superset)."""
+    atoms, sums = remainder_scan(big, small)
+    return not atoms and not sums
+
+
+def remainder_scan(big: SymSet, small: SymSet) -> tuple[list[Atom], list[SumPart]]:
+    """syntactic_remainder by scanning every item of big for each item of small."""
+    def sum_covers(sa: SumPart, sb: SumPart) -> bool:
+        latt_ok = (sb.latt == 0 and sa.latt == 0) or (
+            sa.latt != 0 and sb.latt != 0 and sb.latt % sa.latt == 0
+        )
+        return sa.key() == sb.key() or (
+            latt_ok and superset_scan(sa.left, sb.left) and superset_scan(sa.right, sb.right)
+        )
+
+    return (
+        [b for b in small.atoms if not any(atom_subsumes(a, b) for a in big.atoms)],
+        [sb for sb in small.sums if not any(sum_covers(sa, sb) for sa in big.sums)],
+    )
+
+
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:
     """Generator of <g> cap Q_pi^m, namely D*g with D the product of
     outside-pi prime powers clearing the denominators (at pi = {}, all of

@@ -157,6 +157,21 @@ def test_build_deterministic_bytes(workdir):
     assert a == b
 
 
+def test_build_times_go_to_stderr(workdir, tmp_path, capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["build", "--config", str(workdir / "config.json"),
+                     "--out", str(tmp_path / "c.json")]) == EXIT_OK
+        cap = capsys.readouterr()
+        assert re.fullmatch(r"# build: \d+\.\d\ds\n# write: \d+\.\d\ds\n", cap.err)
+        outs.append(cap.out)
+    # stdout is the summary alone, byte for byte the same each time
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("chain: ") and outs[0].endswith(f"wrote {tmp_path / 'c.json'}\n")
+    assert "#" not in outs[0]
+    assert (tmp_path / "c.json").read_bytes() == (workdir / "chain.json").read_bytes()
+
+
 def test_build_construction_error_exits_1(tmp_path, capsys, monkeypatch):
     import ssgpkit.density
 
@@ -398,6 +413,36 @@ def _set(path, value):
     return mutate
 
 
+def _atoms_in_parse_order(obj):
+    """Every atom object of the chain's levels, in the order the loader
+    parses them: conditions, levels, a set's atoms, then its sum parts
+    (left before right)."""
+    def walk(S):
+        yield from S["atoms"]
+        for sp in S["sums"]:
+            yield from walk(sp["left"])
+            yield from walk(sp["right"])
+
+    for c in obj["conditions"]:
+        for S in c["u"]:
+            yield from walk(S)
+
+
+def _repeated_atom(chosen, field, value):
+    """Set field of the base element (or the atom's mod) to value in the
+    first atom satisfying chosen that repeats an atom parsed earlier."""
+    def mutate(obj):
+        seen = set()
+        for a in _atoms_in_parse_order(obj):
+            k = json.dumps(a, sort_keys=True)
+            if k in seen and chosen(a):
+                (a if field == "mod" else a["base"])[field] = value
+                return
+            seen.add(k)
+        raise AssertionError("no repeated atom to tamper with")
+    return mutate
+
+
 MALFORMED = [
     ("no instance", _drop("instance"), "missing field 'instance'"),
     ("no met", _drop("met"), "missing field 'met'"),
@@ -434,6 +479,18 @@ MALFORMED = [
     ("element tor a string", _set(["met", 0, "request", "elem", "tor"], ["1"]),
      "tor must be an integer"),
     ("element q a number", _set(["conditions", 0, "u", 0, "atoms", 0, "base", "q"], [0.5]),
+     "q must be a list of rationals"),
+    # the same checks on the second copy of an atom parsed before: the
+    # loader parses each distinct atom once, and True == 1 == 1.0
+    ("repeated atom modulus a bool", _repeated_atom(lambda a: a["mod"] == 1, "mod", True),
+     "mod must be an integer"),
+    ("repeated atom modulus a float", _repeated_atom(lambda a: a["mod"] == 2, "mod", 2.0),
+     "mod must be an integer"),
+    ("repeated atom tor a bool", _repeated_atom(lambda a: a["base"]["tor"] == [1], "tor", [True]),
+     "tor must be an integer"),
+    ("repeated atom free a float", _repeated_atom(lambda a: True, "free", [0.0]),
+     "free must be an integer"),
+    ("repeated atom q a number", _repeated_atom(lambda a: a["base"]["q"] == ["0/1"], "q", [0]),
      "q must be a list of rationals"),
 ]
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ssgpkit.symsets as symsets
 from ssgpkit.driver import (
     BudgetError,
     BuildError,
@@ -267,6 +268,34 @@ def test_rebuild_is_byte_identical(inst, chain):
     assert chain_bytes(again) == chain_bytes(chain)
 
 
+def _atom_jsons(obj):
+    """Every atom object of a chain file's levels, with repeats."""
+    stack = [S for c in obj["conditions"] for S in c["u"]]
+    while stack:
+        S = stack.pop()
+        yield from S["atoms"]
+        for sp in S["sums"]:
+            stack.extend((sp["left"], sp["right"]))
+
+
+def test_load_parses_each_distinct_atom_once(chain, tmp_path, monkeypatch):
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    occurrences = [json.dumps(a, sort_keys=True) for a in _atom_jsons(json.loads(path.read_text()))]
+    distinct = set(occurrences)
+    parsed = []
+    real = symsets.atom_from_json
+    monkeypatch.setattr(
+        symsets, "atom_from_json", lambda inst, obj: parsed.append(obj) or real(inst, obj)
+    )
+    loaded = load_chain(path, revalidate=False)
+    assert len(parsed) == len(distinct) < len(occurrences)
+    assert {json.dumps(a, sort_keys=True) for a in parsed} == distinct
+    # and each distinct atom is one object, wherever its sets sit
+    atoms = [a for S in _reachable_sets(loaded) for a in S.atoms]
+    assert len({id(a) for a in atoms}) == len(distinct)
+
+
 def test_loads_share_no_sets(chain, tmp_path):
     path = tmp_path / "chain.json"
     save_chain(chain, path)
@@ -274,6 +303,9 @@ def test_loads_share_no_sets(chain, tmp_path):
     second = load_chain(path, revalidate=False)
     ids = {id(S) for S in _reachable_sets(first)}
     assert not ids & {id(S) for S in _reachable_sets(second)}
+    atom_ids = {id(a) for S in _reachable_sets(first) for a in S.atoms}
+    assert atom_ids
+    assert not atom_ids & {id(a) for S in _reachable_sets(second) for a in S.atoms}
 
 
 @pytest.mark.parametrize("level", [-1, 2])

@@ -294,3 +294,28 @@ def test_symmetry_verdict_is_computed_once_per_shared_set(monkeypatch):
     negated.clear()
     assert validate(FULL_Z2, q).ok()
     assert negated == []
+
+
+def test_negation_is_computed_once_per_shared_set(monkeypatch):
+    built = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
+    # a fresh parse: the build's own checks have not warmed these sets
+    chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
+    asked, negated_atoms = [], []
+    real_neg, real_atom_neg = symsets.neg_set, symsets.atom_neg
+
+    def neg_set(inst, S):
+        asked.append((S, real_neg(inst, S)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(symsets, "neg_set", neg_set)
+    monkeypatch.setattr(
+        symsets, "atom_neg", lambda inst, a: negated_atoms.append(a) or real_atom_neg(inst, a)
+    )
+    for p in chain.conditions:
+        assert validate(FULL_Z2, p).ok()
+    sets = {id(S): S for S, _ in asked}
+    # shared sum-part children are asked again and again ...
+    assert len(asked) > len(sets) > 0
+    # ... and each set gets one negation, built once
+    assert len({id(N) for _, N in asked}) == len(sets)
+    assert len(negated_atoms) == sum(len(S.atoms) for S in sets.values())

@@ -33,12 +33,19 @@ from ssgpkit.symsets import (
     symset_from_json,
     symset_superset_syntactic,
     symset_to_json,
+    syntactic_remainder,
     union_sets,
     witness_from_json,
     witness_to_json,
 )
 
-from oracles import atom_contains_snf, cyclic_cap_qpi, member_mod_qpi
+from oracles import (
+    atom_contains_snf,
+    cyclic_cap_qpi,
+    member_mod_qpi,
+    remainder_scan,
+    superset_scan,
+)
 
 
 @pytest.fixture
@@ -326,6 +333,54 @@ def test_superset_syntactic(inst1):
     small = SymSet([a2])
     assert symset_superset_syntactic(inst1, big, small)
     assert not symset_superset_syntactic(inst1, small, big)
+
+
+def test_syntactic_cover_matches_scan(inst_tor):
+    # Few bases and generator lists, so many atoms share (base, generators)
+    # with moduli on divisor chains (1 | 2 | 4, 3 | 6 | 12), beside their
+    # negated twins (same generators, negated base) and atoms that share
+    # only the base or only the generators.  Every answer is held against
+    # the scan over all atom pairs.
+    inst = inst_tor
+    rng = random.Random(10)
+    bases = [inst.zero(), inst.make([F(1, 2)], [], [0]), inst.make([F(-1, 2)], [], [0]),
+             inst.make([F(2, 3)], [], [1]), inst.make([F(1)], [], [1])]
+    gen_lists = [(), (inst.make([F(1, 3)], [], [0]),), (inst.make([F(1, 5)], [], [1]),),
+                 (inst.make([F(1, 3)], [], [0]), inst.make([F(1, 5)], [], [1]))]
+    mods = (1, 2, 4, 3, 6, 12)
+
+    def atom():
+        return make_atom(inst, rng.choice(bases), rng.choice(gen_lists), rng.choice(mods))
+
+    def atoms_set(k):
+        return SymSet([atom() for _ in range(k)])
+
+    def twin(S):
+        # the same (base, generators) groups, each modulus moved along its chain
+        return SymSet([make_atom(inst, a.base, a.gens, a.mod * rng.choice((1, 2))) for a in S.atoms])
+
+    children = [atoms_set(rng.randint(1, 4)) for _ in range(5)]
+    children += [twin(S) for S in children] + [neg_set(inst, S) for S in children]
+
+    def sset():
+        S = atoms_set(rng.randint(0, 5))
+        sums = [SumPart(rng.choice(children), rng.choice(children), rng.choice((0, 2, 4)))
+                for _ in range(rng.randint(0, 2))]
+        return SymSet(S.atoms, sums)
+
+    sets = [sset() for _ in range(30)]
+    sets += [twin(S) for S in sets[:10]] + [neg_set(inst, S) for S in sets[:10]]
+    outcomes = {True: 0, False: 0}
+    for big in sets:
+        for small in rng.sample(sets, 12) + [twin(big), neg_set(inst, big)]:
+            want = superset_scan(big, small)
+            assert symset_superset_syntactic(inst, big, small) == want
+            got_atoms, got_sums = syntactic_remainder(inst, big, small)
+            want_atoms, want_sums = remainder_scan(big, small)
+            assert [a.key() for a in got_atoms] == [a.key() for a in want_atoms]
+            assert [sp.key() for sp in got_sums] == [sp.key() for sp in want_sums]
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # -- symmetry ----------------------------------------------------------------
