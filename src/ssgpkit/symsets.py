@@ -143,7 +143,7 @@ class SymSet:
 
     __slots__ = (
         "atoms", "sums", "_key", "_hash", "_expanded", "_memo", "_symmetric", "_index",
-        "_cover", "_neg",
+        "_cover", "_neg", "_supp",
     )
 
     def __init__(self, atoms: Sequence[Atom] = (), sums: Sequence[SumPart] = ()):
@@ -157,6 +157,7 @@ class SymSet:
         self._index = None  # _AtomIndex of atoms, built by the first member call
         self._cover = None  # (base key, gen keys) -> moduli, built by the first cover test
         self._neg = None  # neg_set's result, once asked
+        self._supp = None  # supp()'s result, once asked
 
     def key(self):
         if self._key is None:
@@ -165,6 +166,18 @@ class SymSet:
                 tuple(s.key() for s in self.sums),
             )
         return self._key
+
+    def supp(self) -> PrimeSet:
+        """Denominator primes of every atom reachable from this set, through
+        sum-part children too; kept, so a shared child is read once."""
+        if self._supp is None:
+            s = set()
+            for a in self.atoms:
+                s |= a.supp()
+            for sp in self.sums:
+                s |= sp.left.supp() | sp.right.supp()
+            self._supp = frozenset(s)
+        return self._supp
 
     def __eq__(self, other):
         return isinstance(other, SymSet) and self.key() == other.key()

@@ -5,9 +5,9 @@ longer asks), so tests can hold the library's answer against it.
 """
 
 import math
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
-from ssgpkit.arith import PrimeSet, QVec, cap_multiplier, valuation, vec_support
+from ssgpkit.arith import PrimeSet, QVec, cap_multiplier, qpi_member, valuation, vec_support
 from ssgpkit.groups import Instance, KElem
 from ssgpkit.symsets import Atom, SumPart, SymSet, atom_add, expansion, snf_solve
 
@@ -86,6 +86,33 @@ def remainder_scan(big: SymSet, small: SymSet) -> tuple[list[Atom], list[SumPart
         [b for b in small.atoms if not any(atom_subsumes(a, b) for a in big.atoms)],
         [sb for sb in small.sums if not any(sum_covers(sa, sb) for sa in big.sums)],
     )
+
+
+def walk_atoms(S: SymSet, seen: Optional[set] = None) -> Iterator[Atom]:
+    """Every atom syntactically reachable, including sum-part children,
+    without materializing any sums."""
+    if seen is None:
+        seen = set()
+    if id(S) in seen:
+        return
+    seen.add(id(S))
+    yield from S.atoms
+    for sp in S.sums:
+        yield from walk_atoms(sp.left, seen)
+        yield from walk_atoms(sp.right, seen)
+
+
+def atoms_in_ambient(inst: Instance, S: SymSet, pi: PrimeSet) -> bool:
+    """The (4_p) support half by walking: every reachable atom's base and
+    generators lie in (G cap Q_pi^m) + H, asked of contains_vec and
+    qpi_member element by element, with nothing kept between calls."""
+    for a in walk_atoms(S):
+        for x in (a.base, *a.gens):
+            if not inst.group.contains_vec(x.q):
+                return False
+            if not qpi_member(x.q, pi):
+                return False
+    return True
 
 
 def cyclic_cap_qpi(g: QVec, pi: PrimeSet) -> QVec:

@@ -554,6 +554,10 @@ def test_query_tampered_certificate_is_one_chain_error(
     assert rc == EXIT_CHECK
     rep = json.loads(capsys.readouterr().out)
     assert [k for k, ok in rep["checks"].items() if not ok] == [check]
+    # and names it by the message the query printed
+    msg = lines[0].removeprefix("chain error: ")
+    assert rep["failures"] == {check: [msg]}
+    assert expect in msg
 
 
 def test_verify_corrupt_file_exits_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import ssgpkit.symsets as symsets
+from ssgpkit.arith import next_prime
 from ssgpkit.driver import (
     BudgetError,
     BuildError,
@@ -322,3 +323,41 @@ def test_load_detects_dropped_atom_in_shared_set(chain, tmp_path, level):
     path.write_text(json.dumps(obj))
     with pytest.raises(ChainFormatError, match=rf"\b{last}\b"):
         load_chain(path)
+
+
+def test_load_detects_foreign_prime_inside_sum_part_child(chain, tmp_path):
+    # a generator deep in a sum-part child of the last condition gets a
+    # denominator prime outside its pi: no level lists that atom itself
+    obj = json.loads(chain_bytes(chain))
+    last = len(obj["conditions"]) - 1
+    cond = obj["conditions"][last]
+    atom = next(
+        a for u in cond["u"] for sp in u["sums"] for a in sp["left"]["atoms"] if a["gens"]
+    )
+    atom["gens"][0]["q"] = [f"1/{next_prime(max(cond['pi']))}"]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ChainFormatError, match=rf"condition {last} fails \[.*'4p'"):
+        load_chain(path)
+
+
+def test_load_computes_each_support_once(chain, tmp_path, monkeypatch):
+    # 4p reads SymSet.supp, kept on the set: one computation per distinct
+    # set of the file, and none when the conditions are validated again
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    computed = []
+    real = symsets.SymSet.supp
+
+    def counting(S):
+        if S._supp is None:
+            computed.append(id(S))
+        return real(S)
+
+    monkeypatch.setattr(symsets.SymSet, "supp", counting)
+    loaded = load_chain(path)
+    assert sorted(computed) == sorted({id(S) for S in _reachable_sets(loaded)})
+    computed.clear()
+    for p in loaded.conditions:
+        assert validate(loaded.inst, p).ok()
+    assert computed == []

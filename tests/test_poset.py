@@ -2,12 +2,17 @@
 the hand-worked examples and injected violations.
 """
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from ssgpkit.cli import parse_config
 from ssgpkit.density import extend_primes, extend_ssgp, extend_to_level
+from ssgpkit.driver import build_chain
 from ssgpkit.groups import HSpec, Instance, WideGroup
 from ssgpkit.poset import Condition, extend_with_avoidance, leq, root, validate
 from ssgpkit.symsets import (
@@ -21,6 +26,8 @@ from ssgpkit.symsets import (
     symset_from_atoms,
     union_sets,
 )
+
+from oracles import atoms_in_ambient
 
 
 @pytest.fixture
@@ -127,6 +134,86 @@ def test_validate_detects_outside_qpi(inst_plain):
     p = Condition(frozenset({2}), 0, (bad,), (1,))
     rep = validate(inst_plain, p)
     assert not rep.checks["4p"]
+
+
+def _fraction_classes(inst_, d):
+    """Z with the classes 1/d + Z and -1/d + Z: contains 0 and is symmetric."""
+    x = inst_.make([F(1, d)])
+    return union_sets(
+        inst_,
+        lattice_set(inst_, 1),
+        symset_from_atoms(inst_, [make_atom(inst_, b, (), 1) for b in (x, inst_.neg(x))]),
+    )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_4p_reads_atoms_inside_sum_part_children(inst_plain, side):
+    # the only atoms with denominator 3 sit in one child of a sum part
+    z = lattice_set(inst_plain, 1)
+    thirds = _fraction_classes(inst_plain, 3)
+    pair = (thirds, z) if side == "left" else (z, thirds)
+    level = union_sets(inst_plain, z, sum_sets(inst_plain, *pair))
+    assert not any(a.base.q[0].denominator == 3 for a in level.atoms)
+    p = Condition(frozenset({2}), 0, (level,), (1,))
+    assert not validate(inst_plain, p).checks["4p"]
+    p = Condition(frozenset({2, 3}), 0, (level,), (1,))
+    assert validate(inst_plain, p).checks["4p"]
+
+
+def test_4p_rejects_prime_in_pi_outside_g():
+    # G holds exactly the denominators over primes = 1 mod 4; Instance.make
+    # does not check the group, so 1/3 + Z can be built, and pi = {3}
+    # does not save it
+    loc = Instance(WideGroup(1, "residue", 1, 4), HSpec(0, ()))
+    p = Condition(frozenset({3}), 0, (_fraction_classes(loc, 3),), (1,))
+    assert not loc.contains(loc.make([F(1, 3)]))
+    assert validate(loc, p).failures() == ["4p"]
+    # 5 = 1 mod 4 is allowed: the same shape passes with 1/5 in place of 1/3
+    p = Condition(frozenset({5}), 0, (_fraction_classes(loc, 5),), (1,))
+    assert validate(loc, p).ok()
+
+
+def _reachable(p):
+    """Each distinct set reachable from p's levels, sum-part children included."""
+    out, stack = {}, list(p.u)
+    while stack:
+        S = stack.pop()
+        if S not in out:
+            out[S] = None
+            for sp in S.sums:
+                stack.extend((sp.left, sp.right))
+    return list(out)
+
+
+_ORACLE_CONFIGS = {
+    "example": json.loads((Path(__file__).parents[1] / "scripts" / "example_config.json").read_text()),
+    "L3N2": {"m": 1, "group": "full-q", "h": {"torsion_orders": [2]},
+             "budget": {"max_level": 3, "enum_count": 2}},
+    "localized": {"m": 1, "group": {"localized": {"r": 1, "q": 4}}, "h": {},
+                  "budget": {"max_level": 2, "enum_count": 3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+def test_4p_matches_atom_walk(name):
+    # the support read off SymSet.supp against the walk over every
+    # reachable atom, at each condition's own pi and with each prime removed
+    cfg = parse_config(_ORACLE_CONFIGS[name])
+    inst_ = cfg.make_instance()
+    chain = build_chain(inst_, cfg.max_level, cfg.enum_count, cfg.rng_seed)
+    zero = inst_.zero()
+    verdicts = []
+    for p in chain.conditions:
+        sets = _reachable(p)
+        for pi in [p.pi] + [p.pi - {r} for r in sorted(p.pi)]:
+            got = validate(inst_, replace(p, pi=pi)).checks["4p"]
+            want = all(member(inst_, zero, S) and atoms_in_ambient(inst_, S, pi) for S in p.u)
+            assert got == want, (pi, p.n)
+            for S in sets:
+                got = validate(inst_, Condition(pi, 0, (S,), (1,))).checks["4p"]
+                assert got == (member(inst_, zero, S) and atoms_in_ambient(inst_, S, pi))
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_validate_bad_lattice_scale(inst_plain):
