@@ -14,8 +14,12 @@ echelon basis of Gamma (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4), so one hash lookup decides a whole class of atoms.  A set's
 own atoms are asked with nothing added; a sum part asks its right
 expansion with each left atom's generators and modulus added.  Both are
-exact; the denominator-support prune in front of them is a necessary
-condition, never a filter on correctness.
+exact; the denominator-support prunes in front of them are necessary
+conditions, never filters on correctness.  The first prune is in member:
+every element of a set has its denominator primes inside the set's kept
+support (SymSet.supp(), sum-part children included), so a query with a
+prime outside it is a miss before any index, residue or expansion is
+built.
 """
 
 from __future__ import annotations
@@ -444,7 +448,9 @@ class _AtomIndex:
     class filed under the same Gamma may meet another E in a smaller
     lattice, so a residue alone would not do).  A cell maps (E, C) to
     Gamma and is filled, with C's residues, only when a search first
-    reaches it."""
+    reaches it.  Many classes widened by one E share a Gamma, so a search
+    computes y's residue once per distinct Gamma it reaches; that residue
+    depends on y and is kept for the one search only."""
 
     __slots__ = ("groups", "covering", "lattices", "cells")
 
@@ -477,6 +483,7 @@ class _AtomIndex:
                 for item in group.items()
             ]
         row = self.cells.setdefault((gkeys, mod), {})
+        ys = {}  # lattice -> residue of y, for this call only
         for ckey, batoms in classes:
             hit = row.get(ckey)
             if hit is None:
@@ -492,7 +499,10 @@ class _AtomIndex:
                 table.update(lat.residue(c.base) + (ckey,) for c in batoms)
                 row[ckey] = hit
             lat, table = hit
-            if lat.residue(y) + (ckey,) in table:
+            ry = ys.get(lat)
+            if ry is None:
+                ry = ys[lat] = lat.residue(y)
+            if ry + (ckey,) in table:
                 return True
         return False
 
@@ -536,13 +546,18 @@ def member(inst: Instance, x: KElem, S: SymSet) -> bool:
     """Exact membership in the union: S's atoms through one _AtomIndex
     search (an element of an atom has its denominator support inside the
     atom's, so atoms not covering supp(x) are skipped), then each sum
-    part."""
+    part.  An x whose support is not inside S.supp() is answered False
+    first, with no memo entry and no search: integer combinations of atom
+    data make no new denominator primes, in a sum part's children too."""
     hit = S._memo.get(x)
     if hit is not None:
         return hit
+    xs = vec_support(x.q)
+    if not xs <= S.supp():
+        return False
     if S._index is None:
         S._index = _AtomIndex(S.atoms)
-    ans = S._index.contains(inst, x, vec_support(x.q), (), (), 0) or any(
+    ans = S._index.contains(inst, x, xs, (), (), 0) or any(
         _sumpart_contains(inst, x, sp) for sp in S.sums
     )
     S._memo[x] = ans

@@ -6,6 +6,7 @@ can be asserted without spawning interpreters.
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -299,10 +300,28 @@ def test_query_bad_element_exits_2(workdir, capsys):
     assert "bad element" in capsys.readouterr().err
 
 
+def test_query_foreign_prime_miss_on_example_chain(tmp_path, capsys, monkeypatch):
+    # 3 is no denominator prime of the example chain's level 0, so member
+    # answers the miss from the set's support without expanding a sum part
+    import ssgpkit.symsets
+
+    cfg = Path(__file__).parents[1] / "scripts" / "example_config.json"
+    chain = tmp_path / "example.json"
+    assert main(["build", "--config", str(cfg), "--out", str(chain)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(ssgpkit.symsets, "expansion", None)
+    rc, ans = run_json(capsys, [
+        "query", "member", "--chain", str(chain), "--element", "1/3;1", "--level", "0",
+    ])
+    assert rc == EXIT_OK
+    assert ans == {"element": "1/3;1", "level": 0, "member": False}
+
+
 def test_query_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
     # at level budget 2 a miss at level 0 expands the level-1 sum part,
     # whose children hold 15 x 15 atom pairs; a cap of 16 stands in for
-    # the real cap that deep level budgets outgrow
+    # the real cap that deep level budgets outgrow.  The miss -1;1 has no
+    # denominator prime, so the support prune in member cannot answer it.
     import ssgpkit.symsets
 
     cfg = tmp_path / "deep.json"
@@ -313,7 +332,7 @@ def test_query_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ssgpkit.symsets, "EXPAND_LIMIT", 16)
     rc = main([
         "query", "member", "--chain", str(chain),
-        "--element", "1/97;0", "--level", "0",
+        "--element", "-1;1", "--level", "0",
     ])
     assert rc == EXIT_BUDGET
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ sum-part membership used before (each pair atom built and solved by SNF).
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,9 @@ from ssgpkit.driver import build_chain, chain_bytes, chain_from_json, stage_set
 from ssgpkit.groups import HSpec, Instance, WideGroup
 from ssgpkit.poset import Condition, validate
 from ssgpkit.symsets import (
+    SumPart,
     SymSet,
+    _AtomIndex,
     _Lattice,
     _sumpart_contains,
     atom_contains,
@@ -261,7 +264,11 @@ def test_covering_classes_are_kept_per_needed_support():
         hits += want
         misses += not want
     assert hits >= 60 and misses >= 60
-    assert set(S._index.covering) == set(by_support)
+    # supports with a prime outside S.supp() (the 1/13 points) are
+    # answered by member before the index is asked
+    inside = {T for T in by_support if T <= S.supp()}
+    assert inside != set(by_support)
+    assert set(S._index.covering) == inside
 
 
 def test_foreign_prime_miss_computes_no_residue(monkeypatch):
@@ -278,6 +285,100 @@ def test_foreign_prime_miss_computes_no_residue(monkeypatch):
             assert not member(FULL_Z2, x, stage_set(chain, i))
             assert not member(FULL_Z2, x, atoms_only[i])
     assert calls == []
+
+
+@pytest.mark.parametrize("child_side", ["left", "right"])
+def test_prime_only_inside_a_sum_part_child_stays_a_hit(child_side):
+    # 7 is a denominator prime of one atom of one sum-part child only: not
+    # of S's own atoms (whose 11 the hit lacks), not of the other child.
+    # The support prune must read S.supp() through the children.
+    inst = FULL_Z2
+    seven = make_atom(inst, inst.make([F(2, 7)], (), [1]), [inst.make([F(1, 5)], (), [0])], 4)
+    other = make_atom(inst, inst.make([F(1, 3)], (), [0]), [], 2)
+    own = make_atom(inst, inst.make([F(1, 11)], (), [0]), [], 1)
+    L, R = SymSet((seven,)), SymSet((other,))
+    if child_side == "right":
+        L, R = R, L
+    S = SymSet((own,), (SumPart(L, R, 6),))
+    assert 7 in S.supp() and 7 not in own.supp() | other.supp()
+    x = inst.make([F(2, 7) + F(3, 5) + F(1, 3) + 12], (), [1])
+    assert vec_support(x.q) == {3, 5, 7} and not S.supp() <= vec_support(x.q)
+    assert member(inst, x, S)
+    assert S._memo[x] is True
+
+
+def test_foreign_prime_misses_build_nothing(monkeypatch):
+    # A fresh load of an L3 N2 chain: nothing is warmed.  A miss with a
+    # prime outside a level's support is answered by the prune alone, so
+    # no expansion, atom pair, index or memo entry is made anywhere.
+    built = build_chain(FULL_Z2, 3, 2, rng_seed=0, sample_budget=50)
+    chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
+    sets, parts = {}, {}
+
+    def walk(S):
+        if id(S) not in sets:
+            sets[id(S)] = S
+            for sp in S.sums:
+                parts[id(sp)] = sp
+                walk(sp.left)
+                walk(sp.right)
+
+    levels = [stage_set(chain, i) for i in range(chain.max_level + 1)]
+    for S in levels:
+        walk(S)
+    assert parts
+
+    def state():
+        return ([(S._index, dict(S._memo)) for S in sets.values()],
+                [sp._index for sp in parts.values()])
+
+    before = state()
+    calls = []
+    real_expansion, real_add = symsets.expansion, symsets.atom_add
+    monkeypatch.setattr(symsets, "expansion",
+                        lambda inst, S: calls.append("expansion") or real_expansion(inst, S))
+    monkeypatch.setattr(symsets, "atom_add",
+                        lambda *a: calls.append("atom_add") or real_add(*a))
+    for x in _foreign(FULL_Z2, chain, 3):
+        for S in levels:
+            assert not member(FULL_Z2, x, S)
+    assert calls == []
+    assert state() == before
+
+
+def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
+    # Four classes (generators, modulus) widened by E = span(g) + 2Z all
+    # meet in the lattice span(g) + 2Z: one _Lattice, one residue of y per
+    # search.  The residue is y's own, so it must not outlive the search:
+    # the points asked in turn alternate between hits on different bases
+    # and misses: (1, 0) is not in span(g) + 2Z, where q-part 1 needs n*g
+    # with n = 3 - 6t, odd, so torsion part 1.
+    inst = FULL_Z2
+    g = inst.make([F(1, 3)], (), [1])
+    classes = [((), 4), ((), 6), ((g,), 4), ((g,), 2)]
+    bases = [inst.make([F(k, 5)], (), [k % 2]) for k in range(3)]
+    atoms = [make_atom(inst, b, gens, mod) for gens, mod in classes for b in bases]
+    E = make_atom(inst, inst.zero(), [g], 2)
+    widened = [make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, E.mod)) for a in atoms]
+    idx = _AtomIndex(atoms)
+
+    asked = []
+    real = _Lattice.residue
+    monkeypatch.setattr(_Lattice, "residue", lambda self, x: asked.append((self, x)) or real(self, x))
+    answers = []
+    one = inst.make([1], (), [0])
+    for k in range(12):
+        y = inst.add(inst.add(bases[k % 3], inst.smul(k, g)), inst.from_qvec([F(2 * k - 6)]))
+        if k % 4 in (1, 2):
+            y = inst.add(y, one)
+        want = any(atom_contains_snf(inst, y, w) for w in widened)
+        asked.clear()
+        assert idx.contains(inst, y, frozenset(), E.gens, E.key()[1], E.mod) == want, k
+        (lat, _), = idx.lattices.values()
+        assert [lt for lt, x in asked if x is y] == [lat]
+        answers.append(want)
+    assert len(idx.covering[frozenset()]) == len(classes) * 2
+    assert answers == [k % 4 in (0, 3) for k in range(12)]
 
 
 def test_symmetry_verdict_is_computed_once_per_shared_set(monkeypatch):
