@@ -32,7 +32,7 @@ from .driver import (
     stage_set,
 )
 from .groups import ConstructionError, HSpec, Instance, WideGroup, json_int, json_ints
-from .symsets import ExpansionLimitError, member, witness_to_json
+from .symsets import ExpansionLimitError, index_sizes, member, witness_to_json
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -195,11 +195,13 @@ def cmd_query(args) -> int:
     t0 = time.monotonic()
     inst = chain.inst
     x = _parse_element(inst, args.element)
+    stage = None
     if args.what == "member":
+        stage = stage_set(chain, args.level)
         ans = {
             "element": inst.format_elem(x),
             "level": args.level,
-            "member": member(inst, x, stage_set(chain, args.level)),
+            "member": member(inst, x, stage),
         }
     elif args.what == "separate":
         if x.is_zero():
@@ -214,6 +216,9 @@ def cmd_query(args) -> int:
     # printed only with an answer, so a failing query stays one error line
     print(f"# load: {load_s:.2f}s", file=sys.stderr)
     print(f"# query: {time.monotonic() - t0:.2f}s", file=sys.stderr)
+    if stage is not None:
+        # read off the search tables after the answer: no counter on the hot path
+        print("# lattices: %d, residues kept: %d" % index_sizes(stage), file=sys.stderr)
     print(json.dumps(ans, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -20,6 +20,16 @@ every element of a set has its denominator primes inside the set's kept
 support (SymSet.supp(), sum-part children included), so a query with a
 prime outside it is a miss before any index, residue or expansion is
 built.
+
+Gamma is reduced before it is keyed (_AtomIndex).  A prime r that
+divides the denominator of exactly one generator g, to the power r^e,
+and lies neither in supp(y) nor in a base's support forces r^e to divide
+g's coefficient in y - b, so r^e*g may stand in for g; when r^e*g lies in
+gcd(b.mod, mod)*Z^m it drops out.  The paper's density step gives each
+part of a capture a fresh prime of its own, so the many (extra lattice,
+class) pairs a sum part meets collapse to few lattices, and residues are
+computed once per reduced lattice.  The rule reads valuations, not how a
+chain was built, so it is exact on any input.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import PrimeSet, vec_support
+from .arith import PrimeSet, prime_factors, vec_support
 from .groups import Instance, KElem, elem_to_json, json_int
 
 EXPAND_LIMIT = 500_000  # hard cap on lazy expansion size
@@ -338,7 +348,8 @@ class _Lattice:
     generators, the rows D*mod*e_i and the torsion rows d_t*e_t.  Reducing
     a vector by an echelon basis of L, each pivot entry into [0, pivot),
     leaves one representative per coset of L, also when the free columns
-    are not spanned."""
+    are not spanned.  _AtomIndex builds one per reduced lattice, so its
+    generators may be r^e multiples of the ones a cell names, and fewer."""
 
     __slots__ = ("den", "basis")
 
@@ -431,6 +442,38 @@ def expansion(inst: Instance, S: SymSet) -> list[Atom]:
     return list(S._expanded)
 
 
+def _den_primes(g: KElem) -> dict[int, int]:
+    """r -> e for each prime r of the lcm D of g's denominators, with r^e
+    exactly dividing D: the highest power of r in any coordinate's
+    denominator."""
+    den = 1
+    for c in g.q:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    out = {}
+    if den > 1:
+        for r in prime_factors(den):
+            e = 0
+            while den % r == 0:
+                den //= r
+                e += 1
+            out[r] = e
+    return out
+
+
+def _divisor(g: KElem) -> Optional[int]:
+    """The gcd of g's q-part when g lies in Z^m with zero free and
+    torsion parts, so that g is in M*Z^m exactly when M divides it (0 for
+    g = 0); None when no M*Z^m holds g."""
+    if any(g.free) or any(g.tor):
+        return None
+    d = 0
+    for c in g.q:
+        if c.denominator != 1:
+            return None
+        d = math.gcd(d, c.numerator)
+    return d
+
+
 class _AtomIndex:
     """Lazy lookup tables that answer "is y in some atom of this list,
     widened by span(gens) + mod*Z^m?".
@@ -442,17 +485,35 @@ class _AtomIndex:
     (few distinct sets occur, while one index may hold over a thousand
     supports).  Class C widened by the extra lattice E = span(gens) +
     mod*Z^m is the lattice Gamma = span(C.gens) + span(gens) +
-    gcd(C.mod, mod)*Z^m (mod = 0 adds no lattice term).  Each distinct
-    Gamma gets one _Lattice and one table holding, for each class C filed
-    under it, the residue of each base of C with C's key appended (another
-    class filed under the same Gamma may meet another E in a smaller
-    lattice, so a residue alone would not do).  A cell maps (E, C) to
-    Gamma and is filled, with C's residues, only when a search first
-    reaches it.  Many classes widened by one E share a Gamma, so a search
-    computes y's residue once per distinct Gamma it reaches; that residue
-    depends on y and is kept for the one search only."""
+    M*Z^m, M = gcd(C.mod, mod) (mod = 0 adds no lattice term).
 
-    __slots__ = ("groups", "covering", "lattices", "cells")
+    Gamma is reduced before it is keyed.  Let a prime r divide the
+    denominator of exactly one generator g of E and C, to the power r^e,
+    and lie neither in supp(y) nor in the support of any base b of C.
+    Then r is outside supp(y - b), so in y - b = sum n_i*g_i + M*z every
+    term but n_g*g is r-integral, hence r^e divides n_g: Gamma may be
+    replaced by the lattice with r^e*g in place of g, exactly, for every
+    base of C.  A scaled generator that lies in M*Z^m as a whole (q-part
+    integral and divisible by M, free and torsion parts zero) drops out.
+    The rule reads valuations only, so it holds on any input.  In a chain
+    each part of a capture carries a fresh prime of its own, so most
+    cells reduce to a few lattices, many to a bare M*Z^m.
+
+    A cell maps (E, supp(y), C) to the reduced lattice and C's residues
+    in it, and is filled only when a search first reaches it.  The
+    reduction itself is kept under the unreduced generators of E and C,
+    M and the blocked primes: cells far outnumber the distinct unions of
+    generators they meet, so most cells reduce by one lookup.  Each
+    reduced lattice gets one _Lattice and, for each class filed under it,
+    the set of its bases' residues (another class filed under the same
+    lattice may meet another E in a smaller one, so the sets stay apart).
+    A search computes y's residue once per distinct reduced lattice it
+    reaches; that residue depends on y and is kept for the one search
+    only."""
+
+    __slots__ = (
+        "groups", "covering", "lattices", "reductions", "cells", "blocked", "primes", "scaled",
+    )
 
     def __init__(self, atoms: Iterable[Atom]):
         groups: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
@@ -462,53 +523,119 @@ class _AtomIndex:
         self.groups = groups
         # needed primes -> the (class, atoms) pairs whose support covers them
         self.covering: dict[PrimeSet, list[tuple[tuple, list[Atom]]]] = {}
-        # (gen keys, mod) -> (lattice, residue table)
-        self.lattices: dict[tuple, tuple[_Lattice, set]] = {}
-        # extra lattice E -> class -> the same (lattice, residue table)
-        self.cells: dict[tuple, dict] = {}
+        # reduced (gen keys, M) -> (lattice, class -> (the lattice, the
+        # residues of the class's bases)): the second item is the cell
+        self.lattices: dict[tuple, tuple[_Lattice, dict]] = {}
+        # unreduced (gen keys, M, bases' primes, supp(y)) -> the same
+        # lattices entry
+        self.reductions: dict[tuple, tuple] = {}
+        # (E's gen keys, mod, supp(y)) -> (E's generators, class -> cell)
+        self.cells: dict[tuple, tuple] = {}
+        # class -> its bases' primes
+        self.blocked: dict[tuple, PrimeSet] = {}
+        # generator key -> _den_primes; (key, scale) -> scaled triple
+        self.primes: dict[tuple, dict[int, int]] = {}
+        self.scaled: dict[tuple, tuple] = {}
+
+    def _strip(self, inst: Instance, gens: dict, blocked: PrimeSet):
+        """Private-prime reduction of gens (key -> element): each prime r
+        in the denominators of exactly one generator g, to the power r^e,
+        and not in blocked, is stripped by putting r^e*g in place of g.
+        Returns the (key, element, _divisor) triples of the scaled
+        generators.  Prime maps and scaled generators are kept per
+        generator key."""
+        primes = self.primes
+        count: dict[int, int] = {}
+        for k, g in gens.items():
+            pk = primes.get(k)
+            if pk is None:
+                pk = primes[k] = _den_primes(g)
+            for r in pk:
+                count[r] = count.get(r, 0) + 1
+        out = []
+        for k, g in gens.items():
+            scale = 1
+            for r, e in primes[k].items():
+                if count[r] == 1 and r not in blocked:
+                    scale *= r**e
+            hit = self.scaled.get((k, scale))
+            if hit is None:
+                if scale > 1:
+                    g = inst.smul(scale, g)
+                hit = self.scaled[k, scale] = (_elem_key(g), g, _divisor(g))
+            out.append(hit)
+        return out
+
+    def _cell(self, inst: Instance, ckey: tuple, batoms: list[Atom], mod: int,
+              egens: dict, ysupp: PrimeSet) -> tuple[_Lattice, frozenset]:
+        """The cell of class C widened by E (egens, mod) and reduced with
+        the primes of supp(y) and of C's bases blocked: the lattice and C's
+        residues in it, one pair per (lattice, class), filed under the
+        lattice.  A reduction is kept under the unreduced generators, M and
+        the blocked primes."""
+        b = batoms[0]
+        blocked = self.blocked.get(ckey)
+        if blocked is None:
+            blocked = self.blocked[ckey] = frozenset().union(
+                *(vec_support(c.base.q) for c in batoms)
+            )
+        both = dict(egens)
+        both.update(zip(b.key()[1], b.gens))
+        M = math.gcd(b.mod, mod)
+        ukey = (tuple(sorted(both)), M, blocked, ysupp)
+        hit = self.reductions.get(ukey)
+        if hit is None:
+            parts = self._strip(inst, both, blocked | ysupp)
+            kept = {k: g for k, g, d in parts if d is None or d % M}
+            lkey = (tuple(sorted(kept)), M)
+            hit = self.lattices.get(lkey)
+            if hit is None:
+                hit = self.lattices[lkey] = (_Lattice(inst, tuple(kept.values()), M), {})
+            self.reductions[ukey] = hit
+        lat, filed = hit
+        cell = filed.get(ckey)
+        if cell is None:
+            cell = filed[ckey] = (lat, frozenset(lat.residue(c.base) for c in batoms))
+        return cell
 
     def contains(
-        self, inst: Instance, y: KElem, needed: PrimeSet,
+        self, inst: Instance, y: KElem, ysupp: PrimeSet, needed: PrimeSet,
         gens: Sequence[KElem], gkeys: tuple, mod: int,
     ) -> bool:
         """Exact y in b + span(gens) + mod*Z^m for some atom b, asking only
-        the classes whose support covers needed; gkeys are the generators'
-        _elem_keys.  The caller makes sure that no other class can answer
-        yes: integer combinations cannot manufacture new denominator
-        primes."""
+        the classes whose support covers needed; ysupp is supp(y) and gkeys
+        are the generators' _elem_keys.  The caller makes sure that no
+        other class can answer yes: integer combinations cannot
+        manufacture new denominator primes."""
         classes = self.covering.get(needed)
         if classes is None:
             classes = self.covering[needed] = [
                 item for supp, group in self.groups.items() if needed <= supp
                 for item in group.items()
             ]
-        row = self.cells.setdefault((gkeys, mod), {})
+        row = self.cells.get((gkeys, mod, ysupp))
+        if row is None:
+            row = self.cells[gkeys, mod, ysupp] = (dict(zip(gkeys, gens)), {})
+        egens, cells = row
         ys = {}  # lattice -> residue of y, for this call only
         for ckey, batoms in classes:
-            hit = row.get(ckey)
+            hit = cells.get(ckey)
             if hit is None:
-                b = batoms[0]
-                both = dict(zip(gkeys, gens))
-                both.update(zip(b.key()[1], b.gens))
-                lkey = (tuple(sorted(both)), math.gcd(b.mod, mod))
-                hit = self.lattices.get(lkey)
-                if hit is None:
-                    lat = _Lattice(inst, tuple(both.values()), lkey[1])
-                    hit = self.lattices[lkey] = (lat, set())
-                lat, table = hit
-                table.update(lat.residue(c.base) + (ckey,) for c in batoms)
-                row[ckey] = hit
-            lat, table = hit
+                hit = cells[ckey] = self._cell(inst, ckey, batoms, mod, egens, ysupp)
+            lat, res = hit
             ry = ys.get(lat)
             if ry is None:
                 ry = ys[lat] = lat.residue(y)
-            if ry + (ckey,) in table:
+            if ry in res:
                 return True
         return False
 
 
-def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
-    """Exact x in left + right + latt*Z^m.
+def _sumpart_contains(
+    inst: Instance, x: KElem, sp: SumPart, xsupp: Optional[PrimeSet] = None
+) -> bool:
+    """Exact x in left + right + latt*Z^m; xsupp is supp(x), computed here
+    when the caller has not.
 
     x lies in a + b + latt*Z^m, for expansion atoms a of left and b of
     right, exactly when x - a.base lies in b widened by span(a.gens) +
@@ -528,14 +655,15 @@ def _sumpart_contains(inst: Instance, x: KElem, sp: SumPart) -> bool:
     # inside the query's own support.
     if sp._index is None:
         sp._index = _AtomIndex(expansion(inst, sp.right))
-    xsupp = vec_support(x.q)
+    if xsupp is None:
+        xsupp = vec_support(x.q)
     ordered = sorted(
         expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp)
     )
     for a in ordered:
         rest = inst.add(x, inst.neg(a.base))
         if sp._index.contains(
-            inst, rest, xsupp - a.supp(), a.gens, a.key()[1],
+            inst, rest, vec_support(rest.q), xsupp - a.supp(), a.gens, a.key()[1],
             math.gcd(a.mod, sp.latt),
         ):
             return True
@@ -557,11 +685,34 @@ def member(inst: Instance, x: KElem, S: SymSet) -> bool:
         return False
     if S._index is None:
         S._index = _AtomIndex(S.atoms)
-    ans = S._index.contains(inst, x, xs, (), (), 0) or any(
-        _sumpart_contains(inst, x, sp) for sp in S.sums
+    ans = S._index.contains(inst, x, xs, xs, (), (), 0) or any(
+        _sumpart_contains(inst, x, sp, xs) for sp in S.sums
     )
     S._memo[x] = ans
     return ans
+
+
+def index_sizes(S: SymSet) -> tuple[int, int]:
+    """Reduced lattices and kept base residues over every _AtomIndex that
+    member searches have built under S (its own, its sum parts', and
+    theirs through the children), read from the tables themselves."""
+    lattices = residues = 0
+    seen = set()
+    todo = [S]
+    while todo:
+        T = todo.pop()
+        if id(T) in seen:
+            continue
+        seen.add(id(T))
+        for idx in [T._index] + [sp._index for sp in T.sums]:
+            if idx is not None:
+                lattices += len(idx.lattices)
+                residues += sum(
+                    len(r) for _, filed in idx.lattices.values() for _, r in filed.values()
+                )
+        for sp in T.sums:
+            todo += (sp.left, sp.right)
+    return lattices, residues
 
 
 # -- constructors ------------------------------------------------------------

@@ -212,10 +212,32 @@ def test_query_times_go_to_stderr(workdir, capsys, what, level):
     for _ in range(2):
         assert main(argv) == EXIT_OK
         cap = capsys.readouterr()
-        assert re.fullmatch(r"# load: \d+\.\d\ds\n# query: \d+\.\d\ds\n", cap.err)
+        sizes = r"# lattices: \d+, residues kept: \d+\n" if what == "member" else ""
+        assert re.fullmatch(r"# load: \d+\.\d\ds\n# query: \d+\.\d\ds\n" + sizes, cap.err)
         outs.append(cap.out)
     # stdout is the JSON answer alone, byte for byte the same each time
     assert outs[0] == outs[1] == json.dumps(json.loads(outs[0]), sort_keys=True, indent=2) + "\n"
+
+
+def test_query_member_reports_index_sizes(workdir, capsys):
+    # the sizes line is read off the search tables after the answer; stdout
+    # stays the JSON answer alone, and the figures are those of the same
+    # query on a fresh load
+    from ssgpkit.driver import load_chain, stage_set
+    from ssgpkit.symsets import index_sizes, member
+
+    path = workdir / "chain.json"
+    chain = load_chain(path)
+    S = stage_set(chain, 0)
+    x = chain.inst.parse_elem("-1;1")
+    want = {"element": "-1;1", "level": 0, "member": member(chain.inst, x, S)}
+    lattices, residues = index_sizes(S)
+    assert lattices >= 1 and residues >= 1
+    assert main(["query", "member", "--chain", str(path), "--element", "-1;1",
+                 "--level", "0"]) == EXIT_OK
+    cap = capsys.readouterr()
+    assert cap.out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert cap.err.splitlines()[-1] == f"# lattices: {lattices}, residues kept: {residues}"
 
 
 def test_query_member_separated_point(workdir, capsys):

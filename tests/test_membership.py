@@ -348,11 +348,14 @@ def test_foreign_prime_misses_build_nothing(monkeypatch):
 
 def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
     # Four classes (generators, modulus) widened by E = span(g) + 2Z all
-    # meet in the lattice span(g) + 2Z: one _Lattice, one residue of y per
-    # search.  The residue is y's own, so it must not outlive the search:
-    # the points asked in turn alternate between hits on different bases
-    # and misses: (1, 0) is not in span(g) + 2Z, where q-part 1 needs n*g
-    # with n = 3 - 6t, odd, so torsion part 1.
+    # meet in one reduced lattice per search: span(g) + 2Z when y carries
+    # g's prime 3, span(3g) + 2Z when it does not (3g = 1 with torsion
+    # part 1 is no element of 2Z, so it stays).  So a search computes one
+    # residue of y, in the lattice that its support selects.  The residue
+    # is y's own, so it must not outlive the search: the points asked in
+    # turn alternate between hits on different bases and misses: (1, 0)
+    # is not in span(g) + 2Z, where q-part 1 needs n*g with n = 3 - 6t,
+    # odd, so torsion part 1.
     inst = FULL_Z2
     g = inst.make([F(1, 3)], (), [1])
     classes = [((), 4), ((), 6), ((g,), 4), ((g,), 2)]
@@ -371,14 +374,19 @@ def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
         y = inst.add(inst.add(bases[k % 3], inst.smul(k, g)), inst.from_qvec([F(2 * k - 6)]))
         if k % 4 in (1, 2):
             y = inst.add(y, one)
+        ys = vec_support(y.q)
+        assert (3 in ys) == (k % 3 != 0)
         want = any(atom_contains_snf(inst, y, w) for w in widened)
         asked.clear()
-        assert idx.contains(inst, y, frozenset(), E.gens, E.key()[1], E.mod) == want, k
-        (lat, _), = idx.lattices.values()
-        assert [lt for lt, x in asked if x is y] == [lat]
+        assert idx.contains(inst, y, ys, frozenset(), E.gens, E.key()[1], E.mod) == want, k
+        (lat,) = [lt for lt, x in asked if x is y]
+        (gkeys, M), = [key for key, (lt, _) in idx.lattices.items() if lt is lat]
+        assert (gkeys == E.key()[1]) == (3 in ys) and M == 2
         answers.append(want)
     assert len(idx.covering[frozenset()]) == len(classes) * 2
     assert answers == [k % 4 in (0, 3) for k in range(12)]
+    # two reduced lattices for all 4 classes and both kinds of y
+    assert sorted(len(gkeys) for gkeys, mod in idx.lattices) == [1, 1]
 
 
 def test_symmetry_verdict_is_computed_once_per_shared_set(monkeypatch):
@@ -420,3 +428,169 @@ def test_negation_is_computed_once_per_shared_set(monkeypatch):
     # ... and each set gets one negation, built once
     assert len({id(N) for _, N in asked}) == len(sets)
     assert len(negated_atoms) == sum(len(S.atoms) for S in sets.values())
+
+
+# Private-prime reduction.  5, 7, 11 and 13 stand for the fresh
+# denominator primes that capture parts carry.  Generators draw their
+# primes from this pool independently, so a prime is sometimes private to
+# one generator, sometimes shared within the extra lattice E, within a
+# class C or between the two; bases carry some generators' primes (the
+# blocked case), and points carry them whenever a coefficient is not a
+# multiple of the generator's denominator.  H has a free part or torsion
+# of odd order in every case, so r^e*g often has an integral q-part
+# divisible by the modulus but a nonzero H-part, and stays.
+PRIVATE = [
+    ("m1 H=Z+Z/2", Instance(WideGroup(1, "full"), HSpec(1, (2,)))),
+    ("m2 H=Z+Z/3", Instance(WideGroup(2, "full"), HSpec(1, (3,)))),
+    ("m1 H=Z/4+Z/9", Instance(WideGroup(1, "full"), HSpec(0, (4, 9)))),
+]
+
+
+def _private_prime_case(inst, rng):
+    """(E generators, E modulus, C atoms, points): generators with primes
+    from the pool, bases some of which carry a generator's prime, and
+    points around sampled hits."""
+    m = inst.m
+
+    def hpart(small=False):
+        free = [rng.choice((0, 0, 1, -1)) if small else rng.randint(-2, 2)
+                for _ in range(inst.h.free_rank)]
+        tor = [rng.choice((0, 0, 1)) if small else rng.randrange(d) for d in inst.h.torsion_orders]
+        return free, tor
+
+    def gen():
+        q = [F(rng.choice((0, 0, 1, 2, 3))) for _ in range(m)]
+        for p in rng.sample((5, 7, 11, 13), rng.choice((0, 1, 1, 1, 2))):
+            q[rng.randrange(m)] += F(rng.randint(1, p - 1), p ** rng.choice((1, 1, 2)))
+        return inst.make(q, *hpart(small=True))
+
+    def lcm_den(g):
+        d = 1
+        for c in g.q:
+            d = d * c.denominator // math.gcd(d, c.denominator)
+        return d
+
+    egens = [gen() for _ in range(rng.randint(0, 2))]
+    emod = rng.choice((0, 2, 3, 4))
+    atoms = []
+    for _ in range(rng.randint(2, 3)):
+        cgens = [gen() for _ in range(rng.randint(0, 2))]
+        mod = rng.choice((1, 2, 3, 4, 6))
+        for _ in range(rng.randint(1, 3)):
+            base = inst.make([F(rng.randint(-4, 4)) for _ in range(m)], *hpart())
+            carriers = cgens + egens
+            if carriers and rng.random() < 0.5:
+                base = inst.add(base, inst.smul(rng.randint(1, 3), rng.choice(carriers)))
+            atoms.append(make_atom(inst, base, cgens, mod))
+    points = []
+    for a in atoms:
+        for _ in range(4):
+            y = a.base
+            for g in a.gens + tuple(egens):
+                n = rng.choice((rng.randint(-3, 3), lcm_den(g) * rng.randint(-2, 2)))
+                y = inst.add(y, inst.smul(n, g))
+            M = math.gcd(a.mod, emod)
+            y = inst.add(y, inst.from_qvec(tuple(F(M * rng.randint(-2, 2)) for _ in range(m))))
+            points.append(y)
+            points.append(inst.add(y, inst.make([1] + [0] * (m - 1), *hpart(small=True))))
+            points.append(inst.add(y, inst.make([F(1, rng.choice((5, 7)))] + [0] * (m - 1),
+                                                *hpart(small=True))))
+    return egens, emod, atoms, points
+
+
+@pytest.mark.parametrize("inst", [c[1] for c in PRIVATE], ids=[c[0] for c in PRIVATE])
+def test_private_prime_reduction_matches_snf(inst):
+    rng = random.Random(inst.m * 100 + inst.h.free_rank * 10 + len(inst.h.torsion_orders))
+    hits = misses = reduced = bare = 0
+    for _ in range(40):
+        egens, emod, atoms, points = _private_prime_case(inst, rng)
+        E = make_atom(inst, inst.zero(), egens, 1)
+        widened = [make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, emod)) for a in atoms]
+        idx = _AtomIndex(atoms)
+        own = SymSet(atoms)
+        for y in points:
+            ys = vec_support(y.q)
+            want = any(atom_contains_snf(inst, y, w) for w in widened)
+            got = idx.contains(inst, y, ys, frozenset(), E.gens, E.key()[1], emod)
+            assert got == want, inst.format_elem(y)
+            assert member(inst, y, own) == any(atom_contains_snf(inst, y, a) for a in atoms)
+            hits += want
+            misses += not want
+        lkey = {id(hit): key for key, hit in idx.lattices.items()}
+        for (ukeys, *_), hit in idx.reductions.items():
+            kept = lkey[id(hit)][0]
+            reduced += len(kept) < len(ukeys)
+            bare += bool(ukeys) and not kept
+    assert hits >= 150 and misses >= 150
+    # the reduction is reached: generators drop out, all of them in some
+    # unions
+    assert reduced >= 30 and bare >= 5
+
+
+def _rule_cases():
+    """(name, instance, extra generators, extra modulus, class atom, y):
+    each y is a hit that one wrong form of the private-prime rule misses."""
+    zh = Instance(WideGroup(1, "full"), HSpec(1, ()))  # m = 1, H = Z
+    m2 = Instance(WideGroup(2, "full"), HSpec(1, (3,)))
+    return [
+        # 5 is shared by E's (1/5; 1) and C's (2/5; 0): 3*g1 + g2 = (1; 3)
+        # has no 5, but its coefficients are no multiples of 5
+        ("shared by E and C", zh, [zh.make([F(1, 5)], [1])], 0,
+         make_atom(zh, zh.zero(), [zh.make([F(2, 5)], [0])], 4), zh.make([1], [3])),
+        # 5 is private to g but the base carries it: y - b = 4/5 = 4g
+        ("in a base", zh, [], 0,
+         make_atom(zh, zh.make([F(1, 5)], [0]), [zh.make([F(1, 5)], [0])], 1),
+         zh.make([1], [0])),
+        # 5 is private to g and y carries it: y = g
+        ("in supp(y)", zh, [], 0,
+         make_atom(zh, zh.zero(), [zh.make([F(1, 5)], [1])], 2), zh.make([F(1, 5)], [1])),
+        # 5g = 1 is no element of 2Z, so it stays: y = 5g
+        ("not in M*Z^m", zh, [], 0,
+         make_atom(zh, zh.zero(), [zh.make([F(1, 5)], [0])], 2), zh.make([1], [0])),
+        # 5g = (2; 5): q-part in 2Z, free part 5
+        ("free part", zh, [], 0,
+         make_atom(zh, zh.zero(), [zh.make([F(2, 5)], [1])], 2), zh.make([2], [5])),
+        # m = 2, H = Z + Z/3: 5g = (2, 0; 0, 2), a nonzero torsion part
+        ("torsion part", m2, [], 0,
+         make_atom(m2, m2.zero(), [m2.make([F(2, 5), 0], [0], [1])], 2),
+         m2.make([2, 0], [0], [2])),
+    ]
+
+
+RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("case", RULE_CASES, ids=[c[0] for c in RULE_CASES])
+def test_private_prime_rule_cases(case):
+    _, inst, egens, emod, a, y = case
+    E = make_atom(inst, inst.zero(), egens, 1)
+    w = make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, emod))
+    assert atom_contains_snf(inst, y, w)
+    idx = _AtomIndex([a])
+    assert idx.contains(inst, y, vec_support(y.q), frozenset(), E.gens, E.key()[1], emod)
+    if egens:
+        # the same question as a sum part: E's generator on a left atom
+        left = SymSet((make_atom(inst, inst.zero(), egens, 1),))
+        sp = sum_sets(inst, left, SymSet((a,)), emod).sums[0]
+        assert _sumpart_contains(inst, y, sp)
+    else:
+        assert member(inst, y, SymSet((a,)))
+
+
+def test_in_support_misses_build_fewer_lattices(monkeypatch):
+    # A fresh load of an L2 N3 chain and a fixed batch of 24 misses whose
+    # support lies inside every level's.  Before the private-prime
+    # reduction this batch built 455 _Lattice objects (one per extra
+    # lattice and class union); reduced cells share 90.
+    built = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
+    chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
+    levels = [stage_set(chain, i) for i in range(chain.max_level + 1)]
+    made = []
+    real = _Lattice.__init__
+    monkeypatch.setattr(_Lattice, "__init__", lambda self, *a: made.append(self) or real(self, *a))
+    for lit in ("-1;1", "0;1", "1;1", "-2;1", "2;1", "-3;1", "3;1", "-4;1"):
+        x = FULL_Z2.parse_elem(lit)
+        for S in levels:
+            assert vec_support(x.q) <= S.supp()
+            assert not member(FULL_Z2, x, S), lit
+    assert len(made) < 455
