@@ -322,10 +322,11 @@ class Instance:
     def parse_elem(self, text: str) -> KElem:
         """Inverse of format_elem; grammar 'a/b,...;h1,h2,...', hpart optional."""
         text = text.strip()
-        if ";" in text:
-            qtext, htext = text.split(";", 1)
-        else:
-            qtext, htext = text, ""
+        if text.count(";") > 1:
+            raise ValueError(
+                f"one ';' separates the rational part from the H part, got {text!r}"
+            )
+        qtext, _, htext = text.partition(";")
         qparts = [t.strip() for t in qtext.split(",")] if qtext.strip() else []
         if len(qparts) != self.m:
             raise ValueError(f"expected {self.m} rational coordinates, got {len(qparts)}")
@@ -338,7 +339,10 @@ class Instance:
             hparts = [t.strip() for t in htext.split(",")]
             if len(hparts) != hcount:
                 raise ValueError(f"expected {hcount} H coordinates, got {len(hparts)}")
-            hvals = [int(t) for t in hparts]
+            try:
+                hvals = [int(t) for t in hparts]
+            except ValueError as exc:
+                raise ValueError(f"bad H coordinate in {text!r}: {exc}") from None
         else:
             hvals = [0] * hcount
         if not self.group.contains_vec(q):

@@ -507,9 +507,10 @@ class _AtomIndex:
     reduced lattice gets one _Lattice and, for each class filed under it,
     the set of its bases' residues (another class filed under the same
     lattice may meet another E in a smaller one, so the sets stay apart).
-    A search computes y's residue once per distinct reduced lattice it
-    reaches; that residue depends on y and is kept for the one search
-    only."""
+    y's residue is computed once per distinct reduced lattice and kept in
+    a dict that the caller owns: it depends on y only, so _sumpart_contains
+    shares one dict among the left atoms of one base (one y) for the
+    length of one call, and nothing of y outlives that call."""
 
     __slots__ = (
         "groups", "covering", "lattices", "reductions", "cells", "blocked", "primes", "scaled",
@@ -600,13 +601,15 @@ class _AtomIndex:
 
     def contains(
         self, inst: Instance, y: KElem, ysupp: PrimeSet, needed: PrimeSet,
-        gens: Sequence[KElem], gkeys: tuple, mod: int,
+        gens: Sequence[KElem], gkeys: tuple, mod: int, ys: Optional[dict] = None,
     ) -> bool:
         """Exact y in b + span(gens) + mod*Z^m for some atom b, asking only
         the classes whose support covers needed; ysupp is supp(y) and gkeys
-        are the generators' _elem_keys.  The caller makes sure that no
-        other class can answer yes: integer combinations cannot
-        manufacture new denominator primes."""
+        are the generators' _elem_keys.  ys maps a lattice to y's residue
+        in it and is filled here; a caller that asks the same y again
+        passes the same dict, one that does not passes none.  The caller
+        makes sure that no other class can answer yes: integer combinations
+        cannot manufacture new denominator primes."""
         classes = self.covering.get(needed)
         if classes is None:
             classes = self.covering[needed] = [
@@ -617,7 +620,8 @@ class _AtomIndex:
         if row is None:
             row = self.cells[gkeys, mod, ysupp] = (dict(zip(gkeys, gens)), {})
         egens, cells = row
-        ys = {}  # lattice -> residue of y, for this call only
+        if ys is None:
+            ys = {}
         for ckey, batoms in classes:
             hit = cells.get(ckey)
             if hit is None:
@@ -640,7 +644,9 @@ def _sumpart_contains(
     x lies in a + b + latt*Z^m, for expansion atoms a of left and b of
     right, exactly when x - a.base lies in b widened by span(a.gens) +
     gcd(a.mod, latt)*Z^m.  So each left atom is one _AtomIndex search of
-    the right expansion, which is exhaustive over every pair."""
+    the right expansion, which is exhaustive over every pair.  Left atoms
+    with the same base share y = x - a.base, its support and its residues:
+    each is computed once per base in one call."""
     # Fast path: x = x + 0 (+ latt*0) whenever one side contains x and the
     # other contains 0.
     zero = inst.zero()
@@ -660,11 +666,16 @@ def _sumpart_contains(
     ordered = sorted(
         expansion(inst, sp.left), key=lambda a: len(a.supp() - xsupp)
     )
+    by_base = {}  # left base key -> (y, supp(y), lattice -> residue of y)
     for a in ordered:
-        rest = inst.add(x, inst.neg(a.base))
+        bkey, gkeys, _ = a.key()
+        hit = by_base.get(bkey)
+        if hit is None:
+            y = inst.add(x, inst.neg(a.base))
+            hit = by_base[bkey] = (y, vec_support(y.q), {})
+        y, ysupp, ys = hit
         if sp._index.contains(
-            inst, rest, vec_support(rest.q), xsupp - a.supp(), a.gens, a.key()[1],
-            math.gcd(a.mod, sp.latt),
+            inst, y, ysupp, xsupp - a.supp(), a.gens, gkeys, math.gcd(a.mod, sp.latt), ys,
         ):
             return True
     return False

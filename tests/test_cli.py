@@ -322,6 +322,20 @@ def test_query_bad_element_exits_2(workdir, capsys):
     assert "bad element" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal, says", [
+    ("1;1;1", "one ';' separates the rational part from the H part"),
+    ("1;x", "bad H coordinate in '1;x'"),
+])
+def test_query_bad_element_part_is_named(workdir, capsys, literal, says):
+    rc = main([
+        "query", "member", "--chain", str(workdir / "chain.json"),
+        "--element", literal, "--level", "0",
+    ])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad element" in err and says in err
+
+
 def test_query_foreign_prime_miss_on_example_chain(tmp_path, capsys, monkeypatch):
     # 3 is no denominator prime of the example chain's level 0, so member
     # answers the miss from the set's support without expanding a sum part

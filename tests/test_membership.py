@@ -577,20 +577,116 @@ def test_private_prime_rule_cases(case):
         assert member(inst, y, SymSet((a,)))
 
 
-def test_in_support_misses_build_fewer_lattices(monkeypatch):
-    # A fresh load of an L2 N3 chain and a fixed batch of 24 misses whose
-    # support lies inside every level's.  Before the private-prime
-    # reduction this batch built 455 _Lattice objects (one per extra
-    # lattice and class union); reduced cells share 90.
+def _in_support_miss_batch(monkeypatch, name):
+    """Run a fixed batch of 24 misses on a fresh load of an L2 N3 chain,
+    each with its support inside every level's, and return how often
+    _Lattice.<name> ran."""
     built = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
     chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
     levels = [stage_set(chain, i) for i in range(chain.max_level + 1)]
-    made = []
-    real = _Lattice.__init__
-    monkeypatch.setattr(_Lattice, "__init__", lambda self, *a: made.append(self) or real(self, *a))
+    calls = []
+    real = getattr(_Lattice, name)
+    monkeypatch.setattr(_Lattice, name, lambda self, *a: calls.append(1) or real(self, *a))
     for lit in ("-1;1", "0;1", "1;1", "-2;1", "2;1", "-3;1", "3;1", "-4;1"):
         x = FULL_Z2.parse_elem(lit)
         for S in levels:
             assert vec_support(x.q) <= S.supp()
             assert not member(FULL_Z2, x, S), lit
-    assert len(made) < 455
+    return len(calls)
+
+
+def test_in_support_misses_build_fewer_lattices(monkeypatch):
+    # Before the private-prime reduction this batch built 455 _Lattice
+    # objects (one per extra lattice and class union); reduced cells share
+    # 91.
+    assert _in_support_miss_batch(monkeypatch, "__init__") < 455
+
+
+def test_in_support_misses_compute_fewer_residues(monkeypatch):
+    # When each left atom computed its own point's residues, this batch
+    # computed 17,134; left atoms on one base now share them, 7,414.
+    assert _in_support_miss_batch(monkeypatch, "residue") < 17134
+
+
+def _shared_base_sumpart(inst, rng):
+    """A sum part whose left child puts three atoms, with different
+    generators and moduli, on each of four bases (0, an integer, and two
+    with denominators); bases, generators and right atoms draw
+    denominators from 3, 5 and 7, so the points x - b of one x differ in
+    support and reach reduced lattices both their own and shared."""
+
+    def elem(dens):
+        return inst.make([F(rng.randint(-3, 3), rng.choice(dens))], (), [rng.randint(0, 1)])
+
+    bases = [inst.zero(), inst.make([rng.randint(1, 3)], (), [1]), elem((1, 3, 7)), elem((5, 7))]
+    left = [make_atom(inst, b, [elem((1, 3, 5, 7)) for _ in range(k % 3)], mod)
+            for b in bases for k, mod in enumerate(rng.sample((1, 2, 4, 6), 3))]
+    right = [make_atom(inst, elem((1, 1, 5, 7)), [elem((3, 5, 7)) for _ in range(rng.randint(0, 1))],
+                       rng.choice((2, 4, 6))) for _ in range(4)]
+    return SumPart(symset_from_atoms(inst, left), symset_from_atoms(inst, right),
+                   rng.choice((0, 4, 12)))
+
+
+def test_left_atoms_on_one_base_share_their_point_and_residues(monkeypatch):
+    # Within one _sumpart_contains call, left atoms on one base b ask the
+    # right index about one point x - b: its residue in a lattice is
+    # computed once, however many of them reach the lattice, and never
+    # shared with another base or another call.  Residues of class bases
+    # (computed inside _cell) are not the query's and are not counted.
+    inst = FULL_Z2
+    rng = random.Random(15)
+    residues, asked, in_cell = [], [], []
+    real_residue, real_cell, real_contains = _Lattice.residue, _AtomIndex._cell, _AtomIndex.contains
+
+    def residue(self, x):
+        if not in_cell:
+            residues.append((self, symsets._elem_key(x)))
+        return real_residue(self, x)
+
+    def cell(self, *a):
+        in_cell.append(1)
+        try:
+            return real_cell(self, *a)
+        finally:
+            in_cell.pop()
+
+    def contains(self, inst, y, *a):
+        asked.append((self, symsets._elem_key(y)))
+        return real_contains(self, inst, y, *a)
+
+    monkeypatch.setattr(_Lattice, "residue", residue)
+    monkeypatch.setattr(_AtomIndex, "_cell", cell)
+    monkeypatch.setattr(_AtomIndex, "contains", contains)
+    # The left atoms of each base meet the right atom in 4Z and in
+    # span(3 * third) + 2Z.  x = 3 lies in the base-1 sums only: a residue
+    # of x - 0 read for x - 1 misses it.
+    one, third = inst.make([1], (), [0]), inst.make([F(1, 3)], (), [1])
+    fixed = SumPart(
+        symset_from_atoms(inst, [make_atom(inst, b, gens, mod) for b in (inst.zero(), one)
+                                 for gens, mod in (((), 4), ((third,), 6))]),
+        symset_from_atoms(inst, [make_atom(inst, inst.make([2], (), [0]), [], 4)]),
+        0,
+    )
+    assert _sumpart_contains(inst, inst.make([3], (), [0]), fixed)
+    hits = misses = repeats = 0
+    for sp in [fixed] + [_shared_base_sumpart(inst, rng) for _ in range(16)]:
+        left = symsets.expansion(inst, sp.left)
+        assert len({a.key()[0] for a in left}) < len(left)
+        own = SymSet((), (sp,))
+        points = inst.enumerate_first(40)
+        for _ in range(8):
+            y = sample_point(inst, own, rng, 3)
+            points += [y, inst.add(y, inst.make([1], (), [0])), inst.add(y, inst.make([0], (), [1]))]
+        for x in points:
+            residues.clear()
+            asked.clear()
+            got = _sumpart_contains(inst, x, sp)
+            assert got == sumpart_contains_pair_scan(inst, x, sp), inst.format_elem(x)
+            assert len(residues) == len(set(residues)), inst.format_elem(x)
+            hits += got
+            misses += not got
+            # left atoms on one base that asked the same point again
+            points_asked = [y for idx, y in asked if idx is sp._index]
+            repeats += len(points_asked) - len(set(points_asked))
+    assert hits >= 400 and misses >= 150
+    assert repeats >= 1000
