@@ -146,7 +146,10 @@ def load_config(path) -> InstanceConfig:
 def _load(path, revalidate: bool = True) -> FilterChain:
     if path is None:
         raise UsageError("a chain file is required (--chain PATH)")
-    return load_chain(path, revalidate=revalidate)
+    try:
+        return load_chain(path, revalidate=revalidate)
+    except OSError as e:
+        raise ChainFormatError(f"cannot read chain: {e}") from e
 
 
 def cmd_build(args) -> int:

@@ -14,12 +14,23 @@ echelon basis of Gamma (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4), so one hash lookup decides a whole class of atoms.  A set's
 own atoms are asked with nothing added; a sum part asks its right
 expansion with each left atom's generators and modulus added.  Both are
-exact; the denominator-support prunes in front of them are necessary
-conditions, never filters on correctness.  The first prune is in member:
-every element of a set has its denominator primes inside the set's kept
-support (SymSet.supp(), sum-part children included), so a query with a
-prime outside it is a miss before any index, residue or expansion is
-built.
+exact; the prunes in front of them are necessary conditions, never
+filters on correctness.  The first prune is in member: every element of
+a set has its denominator primes inside the set's kept support
+(SymSet.supp(), sum-part children included), so a query with a prime
+outside it is a miss before any index, residue or expansion is built.
+
+The second prune is per (left base, right class) pair (_AtomIndex).  A
+class is the atoms with one base support, base H-part, generator list and
+modulus.  z = y - b must lie in span(gens) + span(C.gens) + M*Z^m, whose
+M*Z^m part is integral with zero H-part.  So a prime in exactly one of
+supp(y) and supp(b) must be a denominator prime of some generator, and
+when no generator has an H-part, y and b must have equal H-parts.  The
+paper's density step gives each part of a capture a fresh prime of its
+own, so almost no pair passes on a miss.  The test reads only the data,
+so it is exact on any input, and every pair that passes it also passes
+the filter it replaced, supp(x) - supp(a) <= supp(b) for a left atom a
+and a right atom b.
 
 Gamma is reduced before it is keyed (_AtomIndex).  A prime r that
 divides the denominator of exactly one generator g, to the power r^e,
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import PrimeSet, prime_factors, vec_support
+from .arith import EMPTY_PRIMES, PrimeSet, prime_factors, vec_support
 from .groups import Instance, KElem, elem_to_json, json_int
 
 EXPAND_LIMIT = 500_000  # hard cap on lazy expansion size
@@ -58,7 +69,7 @@ def _elem_key(x: KElem):
 class Atom:
     """base + Z*g_1 + ... + Z*g_r + mod*Z^m (lattice in the q-part only)."""
 
-    __slots__ = ("base", "gens", "mod", "_key", "_supp")
+    __slots__ = ("base", "gens", "mod", "_key", "_supp", "_bsupp", "_gsupp")
 
     def __init__(self, base: KElem, gens: tuple[KElem, ...], mod: int):
         if mod < 1:
@@ -68,6 +79,8 @@ class Atom:
         self.mod = mod
         self._key = None
         self._supp = None
+        self._bsupp = None
+        self._gsupp = None
 
     def key(self):
         if self._key is None:
@@ -78,12 +91,25 @@ class Atom:
             )
         return self._key
 
-    def supp(self) -> PrimeSet:
-        if self._supp is None:
-            s = set(vec_support(self.base.q))
+    def base_supp(self) -> PrimeSet:
+        """Denominator primes of the base alone."""
+        if self._bsupp is None:
+            self._bsupp = vec_support(self.base.q)
+        return self._bsupp
+
+    def gens_supp(self) -> PrimeSet:
+        """Denominator primes of the generators alone."""
+        if self._gsupp is None:
+            s = set()
             for g in self.gens:
                 s |= vec_support(g.q)
-            self._supp = frozenset(s)
+            self._gsupp = frozenset(s) if s else EMPTY_PRIMES
+        return self._gsupp
+
+    def supp(self) -> PrimeSet:
+        if self._supp is None:
+            b, g = self.base_supp(), self.gens_supp()
+            self._supp = b | g if g else b
         return self._supp
 
     def __eq__(self, other):
@@ -478,26 +504,40 @@ class _AtomIndex:
     """Lazy lookup tables that answer "is y in some atom of this list,
     widened by span(gens) + mod*Z^m?".
 
-    The atoms are grouped by denominator support, then by lattice class
-    (generators, modulus); a class key names its support too.  A search
-    asks only the classes whose support covers the needed primes; that
-    list is built once per distinct needed set, in group order, and kept
-    (few distinct sets occur, while one index may hold over a thousand
-    supports).  Class C widened by the extra lattice E = span(gens) +
-    mod*Z^m is the lattice Gamma = span(C.gens) + span(gens) +
-    M*Z^m, M = gcd(C.mod, mod) (mod = 0 adds no lattice term).
+    The atoms are filed by class C = (supp(base), H-part of base,
+    generators, modulus), and each class keeps P_C, its generators'
+    denominator primes, and whether every generator has zero H-part.  C
+    widened by the extra lattice E = span(gens) + mod*Z^m is the lattice
+    Gamma = span(C.gens) + span(gens) + M*Z^m, M = gcd(C.mod, mod) (mod = 0
+    adds no lattice term).
+
+    A search asks only the classes that pass two tests.  If y is in b +
+    Gamma, then z = y - b is in span(C.gens) + span(gens) + M*Z^m, and
+    M*Z^m is integral with zero H-part.  A prime in exactly one of supp(y)
+    and supp(b) stays in supp(z), so the prime test asks (supp(y) ^
+    supp(b)) <= P(gens) | P_C.  When every generator of E and C has zero
+    H-part, z has zero H-part, so the H test asks H(y) = H(b).  Both are
+    necessary conditions on any input; the residue test decides every
+    class that passes.  They replace the needed-primes filter (classes
+    whose support covers supp(x) - supp(a) for the left atom a), which
+    every passing class also passes.  Classes are grouped by base support
+    and indexed by the primes of P_C, so a search reads only the classes
+    that can hold the primes y - b needs, and the passing list is built
+    once per (supp(y), H(y) when the H test applies, P(gens), whether E's
+    generators have zero H-part) and kept.  In a chain each part of a
+    capture carries a fresh prime of its own, so few pairs of a left base
+    and a class pass.
 
     Gamma is reduced before it is keyed.  Let a prime r divide the
     denominator of exactly one generator g of E and C, to the power r^e,
-    and lie neither in supp(y) nor in the support of any base b of C.
-    Then r is outside supp(y - b), so in y - b = sum n_i*g_i + M*z every
-    term but n_g*g is r-integral, hence r^e divides n_g: Gamma may be
-    replaced by the lattice with r^e*g in place of g, exactly, for every
-    base of C.  A scaled generator that lies in M*Z^m as a whole (q-part
-    integral and divisible by M, free and torsion parts zero) drops out.
-    The rule reads valuations only, so it holds on any input.  In a chain
-    each part of a capture carries a fresh prime of its own, so most
-    cells reduce to a few lattices, many to a bare M*Z^m.
+    and lie neither in supp(y) nor in supp(b), C's base support.  Then r
+    is outside supp(y - b), so in y - b = sum n_i*g_i + M*z every term
+    but n_g*g is r-integral, hence r^e divides n_g: Gamma may be replaced
+    by the lattice with r^e*g in place of g, exactly, for every base of C.
+    A scaled generator that lies in M*Z^m as a whole (q-part integral and
+    divisible by M, free and torsion parts zero) drops out.  The rule
+    reads valuations only, so it holds on any input.  Most cells reduce
+    to a few lattices, many to a bare M*Z^m.
 
     A cell maps (E, supp(y), C) to the reduced lattice and C's residues
     in it, and is filled only when a search first reaches it.  The
@@ -512,31 +552,52 @@ class _AtomIndex:
     shares one dict among the left atoms of one base (one y) for the
     length of one call, and nothing of y outlives that call."""
 
-    __slots__ = (
-        "groups", "covering", "lattices", "reductions", "cells", "blocked", "primes", "scaled",
-    )
+    __slots__ = ("groups", "covering", "lattices", "reductions", "cells", "primes", "scaled")
 
     def __init__(self, atoms: Iterable[Atom]):
-        groups: dict[PrimeSet, dict[tuple, list[Atom]]] = {}
+        # supp(base) -> (its classes as (H-part of base, P_C, flag, (class,
+        # atoms)) records, and for each prime the records whose P_C holds it)
+        self.groups: dict[PrimeSet, tuple[list, dict[int, list]]] = {}
+        classes: dict[tuple, list[Atom]] = {}
         for b in atoms:
-            cls = (b.supp(), b.key()[1], b.mod)
-            groups.setdefault(b.supp(), {}).setdefault(cls, []).append(b)
-        self.groups = groups
-        # needed primes -> the (class, atoms) pairs whose support covers them
-        self.covering: dict[PrimeSet, list[tuple[tuple, list[Atom]]]] = {}
+            _, gkeys, mod = b.key()
+            bsupp, bh = b.base_supp(), b.base.free + b.base.tor
+            ckey = (bsupp, bh, gkeys, mod)
+            batoms = classes.get(ckey)
+            if batoms is not None:
+                batoms.append(b)
+                continue
+            batoms = classes[ckey] = [b]
+            pc = b.gens_supp()
+            rec = (bh, pc, all(g.hpart_is_zero() for g in b.gens), (ckey, batoms))
+            group = self.groups.get(bsupp)
+            if group is None:
+                group = self.groups[bsupp] = ([], {})
+            group[0].append(rec)
+            for r in pc:
+                group[1].setdefault(r, []).append(rec)
+        # (supp(y), H(y) or None, P(gens), flag) -> the (class, atoms)
+        # pairs that pass both tests
+        self.covering: dict[tuple, list[tuple[tuple, list[Atom]]]] = {}
         # reduced (gen keys, M) -> (lattice, class -> (the lattice, the
         # residues of the class's bases)): the second item is the cell
         self.lattices: dict[tuple, tuple[_Lattice, dict]] = {}
         # unreduced (gen keys, M, bases' primes, supp(y)) -> the same
         # lattices entry
         self.reductions: dict[tuple, tuple] = {}
-        # (E's gen keys, mod, supp(y)) -> (E's generators, class -> cell)
+        # (E's gen keys, mod, supp(y)) -> (E's generators, class -> cell,
+        # P(gens), whether every generator has zero H-part)
         self.cells: dict[tuple, tuple] = {}
-        # class -> its bases' primes
-        self.blocked: dict[tuple, PrimeSet] = {}
         # generator key -> _den_primes; (key, scale) -> scaled triple
         self.primes: dict[tuple, dict[int, int]] = {}
         self.scaled: dict[tuple, tuple] = {}
+
+    def _den(self, k: tuple, g: KElem) -> dict[int, int]:
+        """_den_primes of the generator g with key k, kept per key."""
+        pk = self.primes.get(k)
+        if pk is None:
+            pk = self.primes[k] = _den_primes(g)
+        return pk
 
     def _strip(self, inst: Instance, gens: dict, blocked: PrimeSet):
         """Private-prime reduction of gens (key -> element): each prime r
@@ -545,18 +606,14 @@ class _AtomIndex:
         Returns the (key, element, _divisor) triples of the scaled
         generators.  Prime maps and scaled generators are kept per
         generator key."""
-        primes = self.primes
         count: dict[int, int] = {}
         for k, g in gens.items():
-            pk = primes.get(k)
-            if pk is None:
-                pk = primes[k] = _den_primes(g)
-            for r in pk:
+            for r in self._den(k, g):
                 count[r] = count.get(r, 0) + 1
         out = []
         for k, g in gens.items():
             scale = 1
-            for r, e in primes[k].items():
+            for r, e in self.primes[k].items():
                 if count[r] == 1 and r not in blocked:
                     scale *= r**e
             hit = self.scaled.get((k, scale))
@@ -570,16 +627,12 @@ class _AtomIndex:
     def _cell(self, inst: Instance, ckey: tuple, batoms: list[Atom], mod: int,
               egens: dict, ysupp: PrimeSet) -> tuple[_Lattice, frozenset]:
         """The cell of class C widened by E (egens, mod) and reduced with
-        the primes of supp(y) and of C's bases blocked: the lattice and C's
-        residues in it, one pair per (lattice, class), filed under the
-        lattice.  A reduction is kept under the unreduced generators, M and
-        the blocked primes."""
+        the primes of supp(y) and of C's base support blocked: the lattice
+        and C's residues in it, one pair per (lattice, class), filed under
+        the lattice.  A reduction is kept under the unreduced generators, M
+        and the blocked primes."""
         b = batoms[0]
-        blocked = self.blocked.get(ckey)
-        if blocked is None:
-            blocked = self.blocked[ckey] = frozenset().union(
-                *(vec_support(c.base.q) for c in batoms)
-            )
+        blocked = ckey[0]
         both = dict(egens)
         both.update(zip(b.key()[1], b.gens))
         M = math.gcd(b.mod, mod)
@@ -600,26 +653,34 @@ class _AtomIndex:
         return cell
 
     def contains(
-        self, inst: Instance, y: KElem, ysupp: PrimeSet, needed: PrimeSet,
+        self, inst: Instance, y: KElem, ysupp: PrimeSet,
         gens: Sequence[KElem], gkeys: tuple, mod: int, ys: Optional[dict] = None,
     ) -> bool:
         """Exact y in b + span(gens) + mod*Z^m for some atom b, asking only
-        the classes whose support covers needed; ysupp is supp(y) and gkeys
-        are the generators' _elem_keys.  ys maps a lattice to y's residue
-        in it and is filled here; a caller that asks the same y again
-        passes the same dict, one that does not passes none.  The caller
-        makes sure that no other class can answer yes: integer combinations
-        cannot manufacture new denominator primes."""
-        classes = self.covering.get(needed)
-        if classes is None:
-            classes = self.covering[needed] = [
-                item for supp, group in self.groups.items() if needed <= supp
-                for item in group.items()
-            ]
+        the classes that pass the prime and H tests; ysupp is supp(y) and
+        gkeys are the generators' _elem_keys.  ys maps a lattice to y's
+        residue in it and is filled here; a caller that asks the same y
+        again passes the same dict, one that does not passes none."""
         row = self.cells.get((gkeys, mod, ysupp))
         if row is None:
-            row = self.cells[gkeys, mod, ysupp] = (dict(zip(gkeys, gens)), {})
-        egens, cells = row
+            egens = dict(zip(gkeys, gens))
+            pgens = frozenset().union(*(self._den(k, g) for k, g in egens.items()))
+            row = self.cells[gkeys, mod, ysupp] = (
+                egens, {}, pgens, all(g.hpart_is_zero() for g in gens),
+            )
+        egens, cells, pgens, eflag = row
+        yh = y.free + y.tor if eflag else None
+        fkey = (ysupp, yh, pgens, eflag)
+        classes = self.covering.get(fkey)
+        if classes is None:
+            classes = self.covering[fkey] = []
+            for bsupp, (recs, by_prime) in self.groups.items():
+                # the primes of y - b that E's generators miss must all
+                # be in P_C, so the first of them names the candidates
+                left = (ysupp ^ bsupp) - pgens
+                for bh, pc, cflag, item in by_prime.get(min(left), ()) if left else recs:
+                    if left <= pc and not (eflag and cflag and bh != yh):
+                        classes.append(item)
         if ys is None:
             ys = {}
         for ckey, batoms in classes:
@@ -654,11 +715,9 @@ def _sumpart_contains(
         return True
     if member(inst, zero, sp.left) and member(inst, x, sp.right):
         return True
-    # Any element of a + b has denominator support inside supp(a) |
-    # supp(b), so only right atoms covering supp(x) - supp(a) are asked.
-    # Atoms whose support sticks out of supp(x) least go first: queries
-    # are overwhelmingly positive, and the witnessing pair usually lives
-    # inside the query's own support.
+    # Left atoms whose support sticks out of supp(x) least go first:
+    # queries are overwhelmingly positive, and the witnessing pair usually
+    # lives inside the query's own support.
     if sp._index is None:
         sp._index = _AtomIndex(expansion(inst, sp.right))
     if xsupp is None:
@@ -674,17 +733,15 @@ def _sumpart_contains(
             y = inst.add(x, inst.neg(a.base))
             hit = by_base[bkey] = (y, vec_support(y.q), {})
         y, ysupp, ys = hit
-        if sp._index.contains(
-            inst, y, ysupp, xsupp - a.supp(), a.gens, gkeys, math.gcd(a.mod, sp.latt), ys,
-        ):
+        if sp._index.contains(inst, y, ysupp, a.gens, gkeys, math.gcd(a.mod, sp.latt), ys):
             return True
     return False
 
 
 def member(inst: Instance, x: KElem, S: SymSet) -> bool:
     """Exact membership in the union: S's atoms through one _AtomIndex
-    search (an element of an atom has its denominator support inside the
-    atom's, so atoms not covering supp(x) are skipped), then each sum
+    search (with nothing added, so only classes whose base support differs
+    from supp(x) by their own generators' primes are asked), then each sum
     part.  An x whose support is not inside S.supp() is answered False
     first, with no memo entry and no search: integer combinations of atom
     data make no new denominator primes, in a sum part's children too."""
@@ -696,7 +753,7 @@ def member(inst: Instance, x: KElem, S: SymSet) -> bool:
         return False
     if S._index is None:
         S._index = _AtomIndex(S.atoms)
-    ans = S._index.contains(inst, x, xs, xs, (), (), 0) or any(
+    ans = S._index.contains(inst, x, xs, (), (), 0) or any(
         _sumpart_contains(inst, x, sp, xs) for sp in S.sums
     )
     S._memo[x] = ans

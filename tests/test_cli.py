@@ -353,6 +353,23 @@ def test_query_foreign_prime_miss_on_example_chain(tmp_path, capsys, monkeypatch
     assert ans == {"element": "1/3;1", "level": 0, "member": False}
 
 
+def test_query_wall_miss_on_example_chain(tmp_path, capsys):
+    # -1;1 has no denominator prime, so no support prune answers it at
+    # level 0; the base-pair filter leaves few (left base, right class)
+    # pairs to the residue search.  The stderr sizes line counts the
+    # lattices the search built: 1,175 before the filter, 24 with it.
+    cfg = Path(__file__).parents[1] / "scripts" / "example_config.json"
+    chain = tmp_path / "example.json"
+    assert main(["build", "--config", str(cfg), "--out", str(chain)]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["query", "member", "--chain", str(chain), "--element", "-1;1", "--level", "0"])
+    assert rc == EXIT_OK
+    cap = capsys.readouterr()
+    assert json.loads(cap.out) == {"element": "-1;1", "level": 0, "member": False}
+    lattices = int(re.search(r"# lattices: (\d+),", cap.err).group(1))
+    assert lattices <= 100
+
+
 def test_query_expansion_limit_exits_3(tmp_path, capsys, monkeypatch):
     # at level budget 2 a miss at level 0 expands the level-1 sum part,
     # whose children hold 15 x 15 atom pairs; a cap of 16 stands in for
@@ -622,6 +639,20 @@ def test_verify_corrupt_file_exits_1(tmp_path, capsys):
     assert rc == EXIT_CHECK
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["show"], ["query", "member", "--element", "0;0", "--level", "0"],
+], ids=["verify", "show", "query member"])
+def test_missing_chain_file_is_one_chain_error(tmp_path, capsys, argv):
+    # an unreadable chain exits 1, like a malformed one, with no traceback
+    missing = tmp_path / "no such chain.json"
+    rc = main(argv + ["--chain", str(missing)])
+    assert rc == EXIT_CHECK
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("chain error: cannot read chain: ")
+    assert str(missing) in cap.err and cap.err.count("\n") == 1
 
 
 # -- show and usage ----------------------------------------------------------

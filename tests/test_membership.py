@@ -218,13 +218,13 @@ def test_member_on_atom_unions_matches_snf():
     assert hits >= 50 and misses >= 50
 
 
-def test_covering_classes_are_kept_per_needed_support():
+def test_covering_classes_are_kept_per_filter_key():
     # One atom per subset T of {2, 3, 5, 7, 11}, with denominator support
     # exactly T: 32 supports, nested ones among them ({2} < {2,3} <
     # {2,3,5}).  Points of different supports are asked round-robin, the
     # widest support first, so each support comes back after others; an
-    # index that reused the classes found for another support would miss
-    # hits.
+    # index that reused the classes found for another support, or another
+    # H-part, would miss hits.
     inst = Instance(WideGroup(1, "full"), HSpec(1, (2,)))
     rng = random.Random(9)
     primes = (2, 3, 5, 7, 11)
@@ -268,7 +268,12 @@ def test_covering_classes_are_kept_per_needed_support():
     # answered by member before the index is asked
     inside = {T for T in by_support if T <= S.supp()}
     assert inside != set(by_support)
-    assert set(S._index.covering) == inside
+    # member widens by nothing: no generator primes, every generator of
+    # the widening has zero H-part, so H(x) is part of the key
+    keys = {(vec_support(x.q), x.free + x.tor, frozenset(), True)
+            for x in asked if vec_support(x.q) <= S.supp()}
+    assert set(S._index.covering) == keys
+    assert {k[0] for k in keys} == inside
 
 
 def test_foreign_prime_miss_computes_no_residue(monkeypatch):
@@ -347,7 +352,7 @@ def test_foreign_prime_misses_build_nothing(monkeypatch):
 
 
 def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
-    # Four classes (generators, modulus) widened by E = span(g) + 2Z all
+    # Four (generators, modulus) pairs widened by E = span(g) + 2Z all
     # meet in one reduced lattice per search: span(g) + 2Z when y carries
     # g's prime 3, span(3g) + 2Z when it does not (3g = 1 with torsion
     # part 1 is no element of 2Z, so it stays).  So a search computes one
@@ -378,12 +383,19 @@ def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
         assert (3 in ys) == (k % 3 != 0)
         want = any(atom_contains_snf(inst, y, w) for w in widened)
         asked.clear()
-        assert idx.contains(inst, y, ys, frozenset(), E.gens, E.key()[1], E.mod) == want, k
+        assert idx.contains(inst, y, ys, E.gens, E.key()[1], E.mod) == want, k
         (lat,) = [lt for lt, x in asked if x is y]
         (gkeys, M), = [key for key, (lt, _) in idx.lattices.items() if lt is lat]
         assert (gkeys == E.key()[1]) == (3 in ys) and M == 2
         answers.append(want)
-    assert len(idx.covering[frozenset()]) == len(classes) * 2
+    # Each base is a class of its own (bases differ in support or H-part).
+    # g has a torsion part, so no H test applies, and P(gens) = {3}.  y
+    # carries 5 exactly when its base does: the prime test keeps the 8
+    # classes on the bases 1/5 and 2/5 when supp(y) = {3, 5}, the 4 on the
+    # base 0 when supp(y) is empty.
+    assert len(idx.covering) == 2
+    assert len(idx.covering[frozenset({3, 5}), None, frozenset({3}), False]) == 8
+    assert len(idx.covering[frozenset(), None, frozenset({3}), False]) == 4
     assert answers == [k % 4 in (0, 3) for k in range(12)]
     # two reduced lattices for all 4 classes and both kinds of y
     assert sorted(len(gkeys) for gkeys, mod in idx.lattices) == [1, 1]
@@ -446,10 +458,33 @@ PRIVATE = [
 ]
 
 
-def _private_prime_case(inst, rng):
+def _lcm_den(g):
+    d = 1
+    for c in g.q:
+        d = d * c.denominator // math.gcd(d, c.denominator)
+    return d
+
+
+def _integral_hits(inst, rng, egens, emod, atoms):
+    """One hit per atom a widened by E: a.base + sum n_g*g + M*z with each
+    n_g a multiple of g's denominator, so y - a.base is integral.  The
+    pair passes the base-pair filter, and no generator prime outside
+    supp(a.base) is in supp(y), so each private one is stripped."""
+    out = []
+    for a in atoms:
+        y = a.base
+        for g in a.gens + tuple(egens):
+            y = inst.add(y, inst.smul(_lcm_den(g) * rng.randint(-2, 2), g))
+        M = math.gcd(a.mod, emod)
+        out.append(inst.add(y, inst.from_qvec(tuple(F(M * rng.randint(-2, 2))
+                                                    for _ in range(inst.m)))))
+    return out
+
+
+def _private_prime_case(inst, rng, zero_h=False):
     """(E generators, E modulus, C atoms, points): generators with primes
-    from the pool, bases some of which carry a generator's prime, and
-    points around sampled hits."""
+    from the pool (with zero H-parts if zero_h), bases some of which carry
+    a generator's prime, and points around sampled hits."""
     m = inst.m
 
     def hpart(small=False):
@@ -462,13 +497,9 @@ def _private_prime_case(inst, rng):
         q = [F(rng.choice((0, 0, 1, 2, 3))) for _ in range(m)]
         for p in rng.sample((5, 7, 11, 13), rng.choice((0, 1, 1, 1, 2))):
             q[rng.randrange(m)] += F(rng.randint(1, p - 1), p ** rng.choice((1, 1, 2)))
+        if zero_h:
+            return inst.make(q, [0] * inst.h.free_rank, [0] * len(inst.h.torsion_orders))
         return inst.make(q, *hpart(small=True))
-
-    def lcm_den(g):
-        d = 1
-        for c in g.q:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
 
     egens = [gen() for _ in range(rng.randint(0, 2))]
     emod = rng.choice((0, 2, 3, 4))
@@ -487,7 +518,7 @@ def _private_prime_case(inst, rng):
         for _ in range(4):
             y = a.base
             for g in a.gens + tuple(egens):
-                n = rng.choice((rng.randint(-3, 3), lcm_den(g) * rng.randint(-2, 2)))
+                n = rng.choice((rng.randint(-3, 3), _lcm_den(g) * rng.randint(-2, 2)))
                 y = inst.add(y, inst.smul(n, g))
             M = math.gcd(a.mod, emod)
             y = inst.add(y, inst.from_qvec(tuple(F(M * rng.randint(-2, 2)) for _ in range(m))))
@@ -501,9 +532,17 @@ def _private_prime_case(inst, rng):
 @pytest.mark.parametrize("inst", [c[1] for c in PRIVATE], ids=[c[0] for c in PRIVATE])
 def test_private_prime_reduction_matches_snf(inst):
     rng = random.Random(inst.m * 100 + inst.h.free_rank * 10 + len(inst.h.torsion_orders))
+    # The base-pair filter answers many misses before any reduction, so 20
+    # more cases with zero-H generators, and hits with integral y - b in
+    # them, pass it and reach the generators' private primes.
+    extra = random.Random(7)
     hits = misses = reduced = bare = 0
-    for _ in range(40):
-        egens, emod, atoms, points = _private_prime_case(inst, rng)
+    for k in range(60):
+        if k < 40:
+            egens, emod, atoms, points = _private_prime_case(inst, rng)
+        else:
+            egens, emod, atoms, points = _private_prime_case(inst, extra, zero_h=True)
+            points += _integral_hits(inst, extra, egens, emod, atoms)
         E = make_atom(inst, inst.zero(), egens, 1)
         widened = [make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, emod)) for a in atoms]
         idx = _AtomIndex(atoms)
@@ -511,7 +550,7 @@ def test_private_prime_reduction_matches_snf(inst):
         for y in points:
             ys = vec_support(y.q)
             want = any(atom_contains_snf(inst, y, w) for w in widened)
-            got = idx.contains(inst, y, ys, frozenset(), E.gens, E.key()[1], emod)
+            got = idx.contains(inst, y, ys, E.gens, E.key()[1], emod)
             assert got == want, inst.format_elem(y)
             assert member(inst, y, own) == any(atom_contains_snf(inst, y, a) for a in atoms)
             hits += want
@@ -567,7 +606,7 @@ def test_private_prime_rule_cases(case):
     w = make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, emod))
     assert atom_contains_snf(inst, y, w)
     idx = _AtomIndex([a])
-    assert idx.contains(inst, y, vec_support(y.q), frozenset(), E.gens, E.key()[1], emod)
+    assert idx.contains(inst, y, vec_support(y.q), E.gens, E.key()[1], emod)
     if egens:
         # the same question as a sum part: E's generator on a left atom
         left = SymSet((make_atom(inst, inst.zero(), egens, 1),))
@@ -577,16 +616,126 @@ def test_private_prime_rule_cases(case):
         assert member(inst, y, SymSet((a,)))
 
 
-def _in_support_miss_batch(monkeypatch, name):
+# Base-pair filter.  Each case is a hit, in one atom's class widened by
+# E, that one wrong form of the filter misses, or (the last) a miss that
+# the H test answers without a residue.
+def _filter_cases():
+    """(name, instance, E generators, E modulus, class atoms, y, hit)."""
+    zh = Instance(WideGroup(1, "full"), HSpec(1, ()))  # m = 1, H = Z
+    g3 = zh.make([F(1, 3)], [0])
+    g7 = FULL_Z2.make([F(1, 7)], (), [0])
+    return [
+        # 5 is in supp(y) and supp(b) and cancels in y - b = 1/3 + 2: read
+        # as supp(y) | supp(b), no generator covers it
+        ("prime cancels in y - b", zh, [], 0,
+         [make_atom(zh, zh.make([F(1, 5)], [0]), [g3], 2)],
+         zh.make([F(1, 5) + F(7, 3)], [0]), True),
+        # y - b = 2/7 needs E's generator 1/7; C has no generator at all
+        ("prime of E's generators only", zh, [zh.make([F(1, 7)], [0])], 0,
+         [make_atom(zh, zh.make([F(1, 3)], [0]), [], 4)], zh.make([F(1, 3) + F(2, 7)], [0]), True),
+        # y - b = (0; 3) = 3g: C's generator has a free part
+        ("free part on C", zh, [], 0,
+         [make_atom(zh, zh.zero(), [zh.make([0], [1])], 2)], zh.make([0], [3]), True),
+        # y - b = (0; 2): E's generator has a free part, C's has none
+        ("free part on E", zh, [zh.make([0], [1])], 0,
+         [make_atom(zh, zh.make([F(1, 3)], [0]), [g3], 4)], zh.make([F(1, 3)], [2]), True),
+        # H = Z/2: y - b = g, whose torsion part is 1
+        ("torsion part", FULL_Z2, [], 0,
+         [make_atom(FULL_Z2, FULL_Z2.zero(), [FULL_Z2.make([1], (), [1])], 2)],
+         FULL_Z2.make([1], (), [1]), True),
+        # every generator has zero H-part: the base with y's H-part answers
+        ("H-part of one base", FULL_Z2, [FULL_Z2.make([F(1, 5)], (), [0])], 2,
+         [make_atom(FULL_Z2, FULL_Z2.make([F(1, 3)], (), [h]), [g7], 4) for h in (0, 1)],
+         FULL_Z2.make([F(1, 3) + F(2, 5) + F(3, 7)], (), [1]), True),
+        ("H-part of no base", FULL_Z2, [FULL_Z2.make([F(1, 5)], (), [0])], 2,
+         [make_atom(FULL_Z2, FULL_Z2.make([F(1, 3)], (), [0]), [g7], 4)],
+         FULL_Z2.make([F(1, 3) + F(2, 5) + F(3, 7)], (), [1]), False),
+    ]
+
+
+FILTER_CASES = _filter_cases()
+
+
+@pytest.mark.parametrize("case", FILTER_CASES, ids=[c[0] for c in FILTER_CASES])
+def test_base_pair_filter_cases(case, monkeypatch):
+    _, inst, egens, emod, atoms, y, hit = case
+    E = make_atom(inst, inst.zero(), egens, 1)
+    widened = [make_atom(inst, a.base, a.gens + E.gens, math.gcd(a.mod, emod)) for a in atoms]
+    assert any(atom_contains_snf(inst, y, w) for w in widened) == hit
+    residues = []
+    real = _Lattice.residue
+    monkeypatch.setattr(_Lattice, "residue", lambda self, x: residues.append(x) or real(self, x))
+    idx = _AtomIndex(atoms)
+    assert idx.contains(inst, y, vec_support(y.q), E.gens, E.key()[1], emod) == hit
+    if not hit:
+        # the H test left no class to ask
+        assert residues == []
+    # the same question as a sum part: E on a left atom on the base 1, its
+    # modulus standing in for emod (60 for none), and no zero fast path
+    # answers
+    one = inst.from_qvec((F(1),) + (F(0),) * (inst.m - 1))
+    left = SymSet((make_atom(inst, one, egens, emod or 60),))
+    sp = sum_sets(inst, left, SymSet(tuple(atoms))).sums[0]
+    x = inst.add(y, one)
+    zero = inst.zero()
+    assert not (member(inst, zero, sp.right) and member(inst, x, left))
+    assert not (member(inst, zero, left) and member(inst, x, sp.right))
+    assert sumpart_contains_pair_scan(inst, x, sp) == hit
+    assert _sumpart_contains(inst, x, sp) == hit
+
+
+@pytest.mark.parametrize("inst", [c[1] for c in PRIVATE], ids=[c[0] for c in PRIVATE])
+def test_base_pair_filter_matches_pair_scan(inst):
+    # Bases and generators draw denominators from 3, 5 and 7, so y and b
+    # often share a prime; generators have zero H-parts, or free or
+    # torsion parts; bases differ in H-part.  Points are sampled hits and
+    # hits moved by a prime or by an H unit.
+    rng = random.Random(20 + inst.m * 100 + inst.h.free_rank * 10 + len(inst.h.torsion_orders))
+    m, fr, tors = inst.m, inst.h.free_rank, inst.h.torsion_orders
+
+    def elem(dens, h):
+        q = [F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(m)]
+        if not h:
+            return inst.make(q, [0] * fr, [0] * len(tors))
+        return inst.make(q, [rng.choice((0, 1)) for _ in range(fr)],
+                         [rng.randrange(d) for d in tors])
+
+    def atom(h_gens):
+        gens = [elem((3, 5, 7), h_gens and rng.random() < 0.5) for _ in range(rng.randint(0, 2))]
+        return make_atom(inst, elem((1, 3, 5, 7), True), gens, rng.choice((1, 2, 3, 4)))
+
+    hits = misses = 0
+    unit_h = inst.make([0] * m, [1] * fr, [1] * len(tors))
+    for k in range(12):
+        h_gens = k % 2 == 1
+        sp = SumPart(symset_from_atoms(inst, [atom(h_gens) for _ in range(3)]),
+                     symset_from_atoms(inst, [atom(h_gens) for _ in range(5)]),
+                     rng.choice((0, 2, 6)))
+        own = SymSet((), (sp,))
+        points = inst.enumerate_first(10)
+        for _ in range(12):
+            y = sample_point(inst, own, rng, 3)
+            points += [y, inst.add(y, unit_h),
+                       inst.add(y, inst.from_qvec(tuple(F(1, rng.choice((3, 5, 7)))
+                                                        for _ in range(m))))]
+        for x in points:
+            got = _sumpart_contains(inst, x, sp)
+            assert got == sumpart_contains_pair_scan(inst, x, sp), inst.format_elem(x)
+            hits += got
+            misses += not got
+    assert hits >= 150 and misses >= 100
+
+
+def _in_support_miss_batch(monkeypatch, cls, name):
     """Run a fixed batch of 24 misses on a fresh load of an L2 N3 chain,
     each with its support inside every level's, and return how often
-    _Lattice.<name> ran."""
+    cls.<name> ran."""
     built = build_chain(FULL_Z2, 2, 3, rng_seed=0, sample_budget=50)
     chain = chain_from_json(json.loads(chain_bytes(built)), revalidate=False)
     levels = [stage_set(chain, i) for i in range(chain.max_level + 1)]
     calls = []
-    real = getattr(_Lattice, name)
-    monkeypatch.setattr(_Lattice, name, lambda self, *a: calls.append(1) or real(self, *a))
+    real = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *a: calls.append(1) or real(self, *a))
     for lit in ("-1;1", "0;1", "1;1", "-2;1", "2;1", "-3;1", "3;1", "-4;1"):
         x = FULL_Z2.parse_elem(lit)
         for S in levels:
@@ -599,13 +748,26 @@ def test_in_support_misses_build_fewer_lattices(monkeypatch):
     # Before the private-prime reduction this batch built 455 _Lattice
     # objects (one per extra lattice and class union); reduced cells share
     # 91.
-    assert _in_support_miss_batch(monkeypatch, "__init__") < 455
+    assert _in_support_miss_batch(monkeypatch, _Lattice, "__init__") < 455
 
 
 def test_in_support_misses_compute_fewer_residues(monkeypatch):
     # When each left atom computed its own point's residues, this batch
     # computed 17,134; left atoms on one base now share them, 7,414.
-    assert _in_support_miss_batch(monkeypatch, "residue") < 17134
+    assert _in_support_miss_batch(monkeypatch, _Lattice, "residue") < 17134
+
+
+# Asked of the same batch.  With the needed-support filter before the
+# base-pair filter it filled 6,426 cells and computed 7,414 residues; the
+# base-pair filter fills 24 and computes 230.  Testing supp(y) - supp(b)
+# in place of the symmetric difference, a weaker filter that is still a
+# necessary condition, fills 720 and computes 1,524.
+def test_in_support_misses_fill_few_cells(monkeypatch):
+    assert _in_support_miss_batch(monkeypatch, _AtomIndex, "_cell") < 100
+
+
+def test_in_support_misses_compute_few_residues(monkeypatch):
+    assert _in_support_miss_batch(monkeypatch, _Lattice, "residue") < 500
 
 
 def _shared_base_sumpart(inst, rng):
