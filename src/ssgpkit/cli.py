@@ -137,6 +137,8 @@ def load_config(path) -> InstanceConfig:
         raise ConfigError(
             f"{path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from e
     return parse_config(obj)
 
 
@@ -365,6 +367,12 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
+    except RecursionError:
+        if args.func is cmd_build:
+            raise
+        # checks and queries recurse once per level of sum-part nesting
+        print("chain error: sets nested too deeply to check", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -381,4 +381,6 @@ def load_chain(path, revalidate: bool = True) -> FilterChain:
         raise ChainFormatError(
             f"{path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise ChainFormatError(f"{path}: JSON nested too deeply to parse") from e
     return chain_from_json(obj, revalidate=revalidate)

@@ -32,15 +32,16 @@ so it is exact on any input, and every pair that passes it also passes
 the filter it replaced, supp(x) - supp(a) <= supp(b) for a left atom a
 and a right atom b.
 
-Gamma is reduced before it is keyed (_AtomIndex).  A prime r that
-divides the denominator of exactly one generator g, to the power r^e,
-and lies neither in supp(y) nor in a base's support forces r^e to divide
-g's coefficient in y - b, so r^e*g may stand in for g; when r^e*g lies in
-gcd(b.mod, mod)*Z^m it drops out.  The paper's density step gives each
-part of a capture a fresh prime of its own, so the many (extra lattice,
-class) pairs a sum part meets collapse to few lattices, and residues are
-computed once per reduced lattice.  The rule reads valuations, not how a
-chain was built, so it is exact on any input.
+Gamma is reduced before it is keyed (_AtomIndex).  Let D be the lcm of
+a generator g's denominators.  When no prime of D divides another
+generator's denominator, lies in supp(y) or lies in a base's support,
+each r^e exactly dividing D divides g's coefficient in y - b, so D does;
+when moreover D*g lies in gcd(b.mod, mod)*Z^m, so does that whole term,
+and g drops out.  The paper's density step gives each part of a capture
+a fresh prime of its own, so the many (extra lattice, class) pairs a sum
+part meets collapse to few lattices, and residues are computed once per
+reduced lattice.  The rule reads valuations, not how a chain was built,
+so it is exact on any input.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import EMPTY_PRIMES, PrimeSet, prime_factors, vec_support
+from .arith import EMPTY_PRIMES, PrimeSet, vec_support
 from .groups import Instance, KElem, elem_to_json, json_int
 
 EXPAND_LIMIT = 500_000  # hard cap on lazy expansion size
@@ -375,7 +376,7 @@ class _Lattice:
     a vector by an echelon basis of L, each pivot entry into [0, pivot),
     leaves one representative per coset of L, also when the free columns
     are not spanned.  _AtomIndex builds one per reduced lattice, so its
-    generators may be r^e multiples of the ones a cell names, and fewer."""
+    generators may be fewer than the ones a cell names."""
 
     __slots__ = ("den", "basis")
 
@@ -468,38 +469,6 @@ def expansion(inst: Instance, S: SymSet) -> list[Atom]:
     return list(S._expanded)
 
 
-def _den_primes(g: KElem) -> dict[int, int]:
-    """r -> e for each prime r of the lcm D of g's denominators, with r^e
-    exactly dividing D: the highest power of r in any coordinate's
-    denominator."""
-    den = 1
-    for c in g.q:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = {}
-    if den > 1:
-        for r in prime_factors(den):
-            e = 0
-            while den % r == 0:
-                den //= r
-                e += 1
-            out[r] = e
-    return out
-
-
-def _divisor(g: KElem) -> Optional[int]:
-    """The gcd of g's q-part when g lies in Z^m with zero free and
-    torsion parts, so that g is in M*Z^m exactly when M divides it (0 for
-    g = 0); None when no M*Z^m holds g."""
-    if any(g.free) or any(g.tor):
-        return None
-    d = 0
-    for c in g.q:
-        if c.denominator != 1:
-            return None
-        d = math.gcd(d, c.numerator)
-    return d
-
-
 class _AtomIndex:
     """Lazy lookup tables that answer "is y in some atom of this list,
     widened by span(gens) + mod*Z^m?".
@@ -528,16 +497,18 @@ class _AtomIndex:
     capture carries a fresh prime of its own, so few pairs of a left base
     and a class pass.
 
-    Gamma is reduced before it is keyed.  Let a prime r divide the
-    denominator of exactly one generator g of E and C, to the power r^e,
-    and lie neither in supp(y) nor in supp(b), C's base support.  Then r
-    is outside supp(y - b), so in y - b = sum n_i*g_i + M*z every term
-    but n_g*g is r-integral, hence r^e divides n_g: Gamma may be replaced
-    by the lattice with r^e*g in place of g, exactly, for every base of C.
-    A scaled generator that lies in M*Z^m as a whole (q-part integral and
-    divisible by M, free and torsion parts zero) drops out.  The rule
-    reads valuations only, so it holds on any input.  Most cells reduce
-    to a few lattices, many to a bare M*Z^m.
+    Gamma is reduced before it is keyed, by dropping whole generators.
+    Let g be a generator of E or C and D the lcm of its denominators, and
+    let no prime of D divide another generator's denominator or lie in
+    supp(y) or in supp(b), C's base support.  Then for each r^e exactly
+    dividing D, r is outside supp(y - b), so in y - b = sum n_i*g_i + M*z
+    every term but n_g*g is r-integral, hence r^e divides n_g; so D
+    divides n_g.  If moreover D*g lies in M*Z^m as a whole (q-part
+    divisible by M, free and torsion parts zero), so does n_g*g, and g
+    drops out of Gamma, exactly, for every base of C; every other
+    generator stays as it is.  The rule reads valuations only, so it
+    holds on any input.  Most cells reduce to a few lattices, many to a
+    bare M*Z^m.
 
     A cell maps (E, supp(y), C) to the reduced lattice and C's residues
     in it, and is filled only when a search first reaches it.  The
@@ -552,7 +523,7 @@ class _AtomIndex:
     shares one dict among the left atoms of one base (one y) for the
     length of one call, and nothing of y outlives that call."""
 
-    __slots__ = ("groups", "covering", "lattices", "reductions", "cells", "primes", "scaled")
+    __slots__ = ("groups", "covering", "lattices", "reductions", "cells", "primes")
 
     def __init__(self, atoms: Iterable[Atom]):
         # supp(base) -> (its classes as (H-part of base, P_C, flag, (class,
@@ -588,41 +559,24 @@ class _AtomIndex:
         # (E's gen keys, mod, supp(y)) -> (E's generators, class -> cell,
         # P(gens), whether every generator has zero H-part)
         self.cells: dict[tuple, tuple] = {}
-        # generator key -> _den_primes; (key, scale) -> scaled triple
-        self.primes: dict[tuple, dict[int, int]] = {}
-        self.scaled: dict[tuple, tuple] = {}
+        # generator key -> (primes of D, gcd of D*g's q-part or None), D
+        # the lcm of its denominators
+        self.primes: dict[tuple, tuple[PrimeSet, Optional[int]]] = {}
 
-    def _den(self, k: tuple, g: KElem) -> dict[int, int]:
-        """_den_primes of the generator g with key k, kept per key."""
-        pk = self.primes.get(k)
-        if pk is None:
-            pk = self.primes[k] = _den_primes(g)
-        return pk
-
-    def _strip(self, inst: Instance, gens: dict, blocked: PrimeSet):
-        """Private-prime reduction of gens (key -> element): each prime r
-        in the denominators of exactly one generator g, to the power r^e,
-        and not in blocked, is stripped by putting r^e*g in place of g.
-        Returns the (key, element, _divisor) triples of the scaled
-        generators.  Prime maps and scaled generators are kept per
-        generator key."""
-        count: dict[int, int] = {}
-        for k, g in gens.items():
-            for r in self._den(k, g):
-                count[r] = count.get(r, 0) + 1
-        out = []
-        for k, g in gens.items():
-            scale = 1
-            for r, e in self.primes[k].items():
-                if count[r] == 1 and r not in blocked:
-                    scale *= r**e
-            hit = self.scaled.get((k, scale))
-            if hit is None:
-                if scale > 1:
-                    g = inst.smul(scale, g)
-                hit = self.scaled[k, scale] = (_elem_key(g), g, _divisor(g))
-            out.append(hit)
-        return out
+    def _den(self, inst: Instance, k: tuple, g: KElem) -> tuple:
+        """For the generator g with key k, kept per key: the primes of D,
+        the lcm of g's denominators, and the gcd of D*g's q-part, or None
+        when D*g has a nonzero H-part.  D*g lies in M*Z^m exactly when M
+        divides that gcd (0 for g = 0)."""
+        hit = self.primes.get(k)
+        if hit is None:
+            den = 1
+            for c in g.q:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+            dg = inst.smul(den, g)
+            d = math.gcd(*(int(c) for c in dg.q)) if dg.hpart_is_zero() else None
+            hit = self.primes[k] = (vec_support(g.q), d)
+        return hit
 
     def _cell(self, inst: Instance, ckey: tuple, batoms: list[Atom], mod: int,
               egens: dict, ysupp: PrimeSet) -> tuple[_Lattice, frozenset]:
@@ -632,15 +586,22 @@ class _AtomIndex:
         the lattice.  A reduction is kept under the unreduced generators, M
         and the blocked primes."""
         b = batoms[0]
-        blocked = ckey[0]
         both = dict(egens)
         both.update(zip(b.key()[1], b.gens))
         M = math.gcd(b.mod, mod)
-        ukey = (tuple(sorted(both)), M, blocked, ysupp)
+        ukey = (tuple(sorted(both)), M, ckey[0], ysupp)
         hit = self.reductions.get(ukey)
         if hit is None:
-            parts = self._strip(inst, both, blocked | ysupp)
-            kept = {k: g for k, g, d in parts if d is None or d % M}
+            blocked = ckey[0] | ysupp
+            count: dict[int, int] = {}
+            for k, g in both.items():
+                for r in self._den(inst, k, g)[0]:
+                    count[r] = count.get(r, 0) + 1
+            kept = {}
+            for k, g in both.items():
+                rs, d = self.primes[k]
+                if d is None or d % M or any(count[r] > 1 or r in blocked for r in rs):
+                    kept[k] = g
             lkey = (tuple(sorted(kept)), M)
             hit = self.lattices.get(lkey)
             if hit is None:
@@ -664,7 +625,7 @@ class _AtomIndex:
         row = self.cells.get((gkeys, mod, ysupp))
         if row is None:
             egens = dict(zip(gkeys, gens))
-            pgens = frozenset().union(*(self._den(k, g) for k, g in egens.items()))
+            pgens = frozenset().union(*(self._den(inst, k, g)[0] for k, g in egens.items()))
             row = self.cells[gkeys, mod, ysupp] = (
                 egens, {}, pgens, all(g.hpart_is_zero() for g in gens),
             )

@@ -641,9 +641,11 @@ def test_verify_corrupt_file_exits_1(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify"], ["show"], ["query", "member", "--element", "0;0", "--level", "0"],
-], ids=["verify", "show", "query member"])
+CHAIN_ARGV = [["verify"], ["show"], ["query", "member", "--element", "0;0", "--level", "0"]]
+CHAIN_IDS = ["verify", "show", "query member"]
+
+
+@pytest.mark.parametrize("argv", CHAIN_ARGV, ids=CHAIN_IDS)
 def test_missing_chain_file_is_one_chain_error(tmp_path, capsys, argv):
     # an unreadable chain exits 1, like a malformed one, with no traceback
     missing = tmp_path / "no such chain.json"
@@ -653,6 +655,50 @@ def test_missing_chain_file_is_one_chain_error(tmp_path, capsys, argv):
     assert cap.out == ""
     assert cap.err.startswith("chain error: cannot read chain: ")
     assert str(missing) in cap.err and cap.err.count("\n") == 1
+
+
+def _deep_sums(workdir, depth):
+    """The test chain with condition 0's level 0 replaced by a tree of sum
+    parts depth deep, each (deeper) + (0 + Z) + 1*Z."""
+    obj = json.loads((workdir / "chain.json").read_text())
+    zero_z = {"atoms": [{"base": {"free": [], "q": ["0/1"], "tor": [0]}, "gens": [], "mod": 1}],
+              "sums": []}
+    S = zero_z
+    for _ in range(depth):
+        S = {"atoms": [], "sums": [{"left": S, "right": zero_z, "lattice": 1}]}
+    obj["conditions"][0]["u"][0] = S
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("argv", CHAIN_ARGV, ids=CHAIN_IDS)
+@pytest.mark.parametrize("text", [
+    lambda workdir: "[" * 100_000 + "]" * 100_000,
+    lambda workdir: _deep_sums(workdir, 300),
+], ids=["JSON nested 100000 deep", "sum parts nested 300 deep"])
+def test_deeply_nested_chain_is_one_chain_error(workdir, tmp_path, capsys, argv, text):
+    # the JSON parser, or the checks and queries that recurse once per
+    # level of sum-part nesting, run out of stack: one error line, no
+    # traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text(text(workdir))
+    rc = main(argv + ["--chain", str(deep)])
+    assert rc == EXIT_CHECK
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    errors = [line for line in cap.err.splitlines() if not line.startswith("# ")]
+    assert len(errors) == 1 and errors[0].startswith("chain error: ") and "nested" in errors[0]
+
+
+def test_deeply_nested_config_is_one_config_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "c.json"
+    rc = main(["build", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    cap = capsys.readouterr()
+    assert cap.out == "" and not out.exists()
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and "nested" in lines[0]
 
 
 # -- show and usage ----------------------------------------------------------

@@ -353,14 +353,13 @@ def test_foreign_prime_misses_build_nothing(monkeypatch):
 
 def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
     # Four (generators, modulus) pairs widened by E = span(g) + 2Z all
-    # meet in one reduced lattice per search: span(g) + 2Z when y carries
-    # g's prime 3, span(3g) + 2Z when it does not (3g = 1 with torsion
-    # part 1 is no element of 2Z, so it stays).  So a search computes one
-    # residue of y, in the lattice that its support selects.  The residue
-    # is y's own, so it must not outlive the search: the points asked in
-    # turn alternate between hits on different bases and misses: (1, 0)
-    # is not in span(g) + 2Z, where q-part 1 needs n*g with n = 3 - 6t,
-    # odd, so torsion part 1.
+    # meet in one lattice, span(g) + 2Z, whether or not y carries g's
+    # prime 3: 3g = (1; 1) has torsion part 1, so it lies in no M*Z^m and
+    # g stays whole.  So a search computes one residue of y, in that
+    # lattice.  The residue is y's own, so it must not outlive the search:
+    # the points asked in turn alternate between hits on different bases
+    # and misses: (1, 0) is not in span(g) + 2Z, where q-part 1 needs n*g
+    # with n = 3 - 6t, odd, so torsion part 1.
     inst = FULL_Z2
     g = inst.make([F(1, 3)], (), [1])
     classes = [((), 4), ((), 6), ((g,), 4), ((g,), 2)]
@@ -386,7 +385,7 @@ def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
         assert idx.contains(inst, y, ys, E.gens, E.key()[1], E.mod) == want, k
         (lat,) = [lt for lt, x in asked if x is y]
         (gkeys, M), = [key for key, (lt, _) in idx.lattices.items() if lt is lat]
-        assert (gkeys == E.key()[1]) == (3 in ys) and M == 2
+        assert gkeys == E.key()[1] and M == 2
         answers.append(want)
     # Each base is a class of its own (bases differ in support or H-part).
     # g has a torsion part, so no H test applies, and P(gens) = {3}.  y
@@ -397,8 +396,8 @@ def test_residue_of_the_query_is_computed_once_per_lattice(monkeypatch):
     assert len(idx.covering[frozenset({3, 5}), None, frozenset({3}), False]) == 8
     assert len(idx.covering[frozenset(), None, frozenset({3}), False]) == 4
     assert answers == [k % 4 in (0, 3) for k in range(12)]
-    # two reduced lattices for all 4 classes and both kinds of y
-    assert sorted(len(gkeys) for gkeys, mod in idx.lattices) == [1, 1]
+    # one lattice for all 4 classes and both kinds of y
+    assert list(idx.lattices) == [(E.key()[1], 2)]
 
 
 def test_symmetry_verdict_is_computed_once_per_shared_set(monkeypatch):
@@ -449,8 +448,9 @@ def test_negation_is_computed_once_per_shared_set(monkeypatch):
 # class C or between the two; bases carry some generators' primes (the
 # blocked case), and points carry them whenever a coefficient is not a
 # multiple of the generator's denominator.  H has a free part or torsion
-# of odd order in every case, so r^e*g often has an integral q-part
-# divisible by the modulus but a nonzero H-part, and stays.
+# of odd order in every case, so D*g (D the lcm of g's denominators)
+# often has an integral q-part divisible by the modulus but a nonzero
+# H-part, and g stays.
 PRIVATE = [
     ("m1 H=Z+Z/2", Instance(WideGroup(1, "full"), HSpec(1, (2,)))),
     ("m2 H=Z+Z/3", Instance(WideGroup(2, "full"), HSpec(1, (3,)))),
@@ -469,7 +469,8 @@ def _integral_hits(inst, rng, egens, emod, atoms):
     """One hit per atom a widened by E: a.base + sum n_g*g + M*z with each
     n_g a multiple of g's denominator, so y - a.base is integral.  The
     pair passes the base-pair filter, and no generator prime outside
-    supp(a.base) is in supp(y), so each private one is stripped."""
+    supp(a.base) is in supp(y), so a generator whose primes are its own
+    and outside supp(a.base) can drop out."""
     out = []
     for a in atoms:
         y = a.base
@@ -558,6 +559,8 @@ def test_private_prime_reduction_matches_snf(inst):
         lkey = {id(hit): key for key, hit in idx.lattices.items()}
         for (ukeys, *_), hit in idx.reductions.items():
             kept = lkey[id(hit)][0]
+            # generators drop out whole or stay as they are: none is scaled
+            assert set(kept) <= set(ukeys)
             reduced += len(kept) < len(ukeys)
             bare += bool(ukeys) and not kept
     assert hits >= 150 and misses >= 150
@@ -583,7 +586,7 @@ def _rule_cases():
         # 5 is private to g and y carries it: y = g
         ("in supp(y)", zh, [], 0,
          make_atom(zh, zh.zero(), [zh.make([F(1, 5)], [1])], 2), zh.make([F(1, 5)], [1])),
-        # 5g = 1 is no element of 2Z, so it stays: y = 5g
+        # 5g = 1 is no element of 2Z, so g stays: y = 5g
         ("not in M*Z^m", zh, [], 0,
          make_atom(zh, zh.zero(), [zh.make([F(1, 5)], [0])], 2), zh.make([1], [0])),
         # 5g = (2; 5): q-part in 2Z, free part 5
@@ -593,6 +596,11 @@ def _rule_cases():
         ("torsion part", m2, [], 0,
          make_atom(m2, m2.zero(), [m2.make([F(2, 5), 0], [0], [1])], 2),
          m2.make([2, 0], [0], [2])),
+        # 35g = 1 lies in Z, but 7 is a prime of g = 1/35 and of y = 1/7 =
+        # 5g, so g stays whole, though its other prime 5 is private and
+        # unblocked
+        ("one prime in supp(y)", zh, [], 0,
+         make_atom(zh, zh.zero(), [zh.make([F(1, 35)], [0])], 1), zh.make([F(1, 7)], [0])),
     ]
 
 
@@ -820,7 +828,7 @@ def test_left_atoms_on_one_base_share_their_point_and_residues(monkeypatch):
     monkeypatch.setattr(_AtomIndex, "_cell", cell)
     monkeypatch.setattr(_AtomIndex, "contains", contains)
     # The left atoms of each base meet the right atom in 4Z and in
-    # span(3 * third) + 2Z.  x = 3 lies in the base-1 sums only: a residue
+    # span(third) + 2Z.  x = 3 lies in the base-1 sums only: a residue
     # of x - 0 read for x - 1 misses it.
     one, third = inst.make([1], (), [0]), inst.make([F(1, 3)], (), [1])
     fixed = SumPart(
